@@ -14,7 +14,7 @@ import json
 import statistics
 from dataclasses import dataclass, replace
 
-from .evolve import GaConfig, run_evolution
+from .evolve import SEED_LIMIT, GaConfig, require_int, require_rate, run_evolution
 from .netlist import FormatError, NandGenome, TruthTable, canonical_key
 
 # Minimal NAND-gate counts per two-input target, used by the default
@@ -44,8 +44,8 @@ class ExperimentEntry:
     max_generations: int = 100_000
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+        require_int("runs", self.runs, 1)
+        require_int("base_seed", self.base_seed, 0, SEED_LIMIT)
 
     def config_for_run(self, run_index: int) -> GaConfig:
         return GaConfig(
@@ -257,34 +257,31 @@ def to_svg(report: ExperimentReport) -> str:
 def _entry_from_doc(doc, where: str) -> ExperimentEntry:
     if not isinstance(doc, dict):
         raise FormatError(f"{where}: expected an object")
-    if "target" not in doc:
-        raise FormatError(f"{where}.target: required")
+    for field in ("target", "num_gates"):
+        if field not in doc:
+            raise FormatError(f"{where}.{field}: required")
     if not isinstance(doc["target"], str):
         raise FormatError(f"{where}.target: expected a string")
     label = doc["target"].lower()
     target = TruthTable.parse(label)
-    if "num_gates" not in doc:
-        raise FormatError(f"{where}.num_gates: required")
-
-    def _int(name, default, minimum):
-        value = doc.get(name, default)
-        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-            raise FormatError(f"{where}.{name}: expected an integer >= {minimum}, got {value!r}")
-        return value
-
-    rate = doc.get("mutation_rate", 0.10)
-    if not isinstance(rate, (int, float)) or isinstance(rate, bool) or not 0.0 <= rate <= 1.0:
-        raise FormatError(f"{where}.mutation_rate: expected a number in [0, 1], got {rate!r}")
-    return ExperimentEntry(
-        label=label,
-        target=target,
-        num_gates=_int("num_gates", None, 1),
-        population_size=_int("population_size", 10, 2),
-        mutation_rate=float(rate),
-        runs=_int("runs", 10, 1),
-        base_seed=_int("base_seed", 0, 0),
-        max_generations=_int("max_generations", 100_000, 0),
-    )
+    # ExperimentEntry checks runs and base_seed, the GaConfig of run 0 the
+    # other fields; each ValueError starts with the field name. The rate
+    # becomes a float here, so an integer rate is written to the CSV as 1.0.
+    try:
+        entry = ExperimentEntry(
+            label=label,
+            target=target,
+            num_gates=doc["num_gates"],
+            population_size=doc.get("population_size", 10),
+            mutation_rate=require_rate("mutation_rate", doc.get("mutation_rate", 0.10)),
+            runs=doc.get("runs", 10),
+            base_seed=doc.get("base_seed", 0),
+            max_generations=doc.get("max_generations", 100_000),
+        )
+        entry.config_for_run(0)
+    except ValueError as exc:
+        raise FormatError(f"{where}.{exc}") from None
+    return entry
 
 
 def parse_spec(text: str) -> ExperimentSpec:

@@ -12,7 +12,27 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .netlist import ArityError, InputSource, NandGenome, TruthTable, fitness
+from .netlist import ArityError, InputSource, NandGenome, TruthTable, fitness, sources
+
+# Seeds are unsigned 64-bit integers.
+SEED_LIMIT = 2**64
+
+
+def require_int(name: str, value, minimum: int, limit: int | None = None) -> None:
+    """Raise ValueError naming the field unless value is an int (not a bool)
+    in [minimum, limit)."""
+    if (not isinstance(value, int) or isinstance(value, bool) or value < minimum
+            or (limit is not None and value >= limit)):
+        bounds = f">= {minimum}" if limit is None else f"in [{minimum}, {limit})"
+        raise ValueError(f"{name}: expected an integer {bounds}, got {value!r}")
+
+
+def require_rate(name: str, value) -> float:
+    """Return value as a float if it is a number (not a bool) in [0, 1];
+    otherwise raise ValueError naming the field."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name}: expected a number in [0, 1], got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -28,18 +48,12 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_gates < 1:
-            raise ValueError("num_gates must be >= 1")
-        if self.num_inputs < 1:
-            raise ValueError("num_inputs must be >= 1")
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must be in [0, 1]")
-        if self.max_generations < 0:
-            raise ValueError("max_generations must be >= 0")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        require_int("num_gates", self.num_gates, 1)
+        require_int("num_inputs", self.num_inputs, 1)
+        require_int("population_size", self.population_size, 2)
+        require_rate("mutation_rate", self.mutation_rate)
+        require_int("max_generations", self.max_generations, 0)
+        require_int("seed", self.seed, 0, SEED_LIMIT)
 
     @property
     def crossover_split(self) -> float:
@@ -83,10 +97,8 @@ class RunOutcome:
 def random_source(rng: random.Random, num_inputs: int, gate_index: int) -> InputSource:
     """Uniform draw from a gate input's allele space: num_inputs externals
     plus the gate_index earlier gates."""
-    pick = rng.randrange(num_inputs + gate_index)
-    if pick < num_inputs:
-        return InputSource.external(pick)
-    return InputSource.gate(pick - num_inputs)
+    count = num_inputs + gate_index
+    return sources(num_inputs, count)[rng.randrange(count)]
 
 
 def random_genome(rng: random.Random, num_inputs: int, num_gates: int) -> NandGenome:

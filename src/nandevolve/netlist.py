@@ -49,9 +49,9 @@ class InputSource:
 
     def __post_init__(self):
         if self.kind not in (EXTERNAL, GATE):
-            raise StructureError(f"unknown source kind {self.kind!r}")
+            raise StructureError(f"unknown source type {self.kind!r}")
         if not isinstance(self.index, int) or isinstance(self.index, bool) or self.index < 0:
-            raise StructureError(f"source index must be a non-negative int, got {self.index!r}")
+            raise StructureError(f"index must be a non-negative integer, got {self.index!r}")
 
     @classmethod
     def external(cls, index: int) -> "InputSource":
@@ -63,6 +63,16 @@ class InputSource:
 
     def __repr__(self):
         return f"{'x' if self.kind == EXTERNAL else 'g'}{self.index}"
+
+
+@lru_cache(maxsize=None)
+def sources(num_inputs: int, count: int) -> tuple[InputSource, ...]:
+    """Allele table: the sources of allele ids 0..count-1. Id k < num_inputs
+    is external input k; a larger id k is gate k - num_inputs."""
+    return tuple(
+        InputSource.external(k) if k < num_inputs else InputSource.gate(k - num_inputs)
+        for k in range(count)
+    )
 
 
 @dataclass(frozen=True)
@@ -77,24 +87,29 @@ class NandGenome:
     gates: tuple[tuple[InputSource, InputSource], ...]
 
     def __post_init__(self):
-        if not isinstance(self.num_inputs, int) or isinstance(self.num_inputs, bool) or self.num_inputs < 1:
-            raise StructureError(f"num_inputs must be an int >= 1, got {self.num_inputs!r}")
+        n = self.num_inputs
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise StructureError(f"num_inputs: expected an integer >= 1, got {n!r}")
         gates = tuple((a, b) for a, b in self.gates)
         object.__setattr__(self, "gates", gates)
         if not gates:
-            raise StructureError("a genome needs at least one gate")
+            raise StructureError("gates: at least one gate is required")
+        # This runs once per GA child, so the location text is built only
+        # when a check fails; pair.index finds the slot, as equal sources
+        # fail alike.
         for i, pair in enumerate(gates):
             for src in pair:
                 if not isinstance(src, InputSource):
-                    raise StructureError(f"gate {i}: source must be an InputSource, got {src!r}")
-                if src.kind == EXTERNAL and src.index >= self.num_inputs:
-                    raise StructureError(
-                        f"gate {i}: external index {src.index} out of range for {self.num_inputs} inputs"
-                    )
-                if src.kind == GATE and src.index >= i:
-                    raise StructureError(
-                        f"gate {i}: source gate {src.index} is not strictly earlier (feed-forward)"
-                    )
+                    problem = f"expected an InputSource, got {src!r}"
+                elif src.kind == EXTERNAL:
+                    if src.index < n:
+                        continue
+                    problem = f"external index {src.index} out of range for {n} inputs"
+                elif src.index < i:
+                    continue
+                else:
+                    problem = f"gate index {src.index} must be below {i} (feed-forward)"
+                raise StructureError(f"gates[{i}][{pair.index(src)}]: {problem}")
 
     @property
     def num_gates(self) -> int:
@@ -288,17 +303,13 @@ def export_json(genome: NandGenome) -> str:
 def _parse_source(obj, where: str) -> InputSource:
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: expected an object, got {type(obj).__name__}")
-    if "type" not in obj:
-        raise FormatError(f"{where}: missing field 'type'")
-    kind = obj["type"]
-    if kind not in (EXTERNAL, GATE):
-        raise FormatError(f"{where}: unknown source type {kind!r}")
-    if "index" not in obj:
-        raise FormatError(f"{where}: missing field 'index'")
-    index = obj["index"]
-    if not isinstance(index, int) or isinstance(index, bool) or index < 0:
-        raise FormatError(f"{where}: index must be a non-negative integer, got {index!r}")
-    return InputSource(kind, index)
+    for field in ("type", "index"):
+        if field not in obj:
+            raise FormatError(f"{where}: missing field {field!r}")
+    try:
+        return InputSource(obj["type"], obj["index"])
+    except StructureError as exc:
+        raise FormatError(f"{where}: {exc}") from None
 
 
 def parse_json(text: str) -> NandGenome:
@@ -309,7 +320,8 @@ def parse_json(text: str) -> NandGenome:
     where SRC is {"type": "external"|"gate", "index": k}. Gates are listed
     in index order and the last gate is the circuit output. Forward/self
     gate references, out-of-range indices, unknown source types, and wrong
-    field types are rejected with the offending location in the message.
+    field types are rejected with the offending location in the message;
+    wiring errors carry the same text as NandGenome's StructureError.
     """
     try:
         doc = json.loads(text)
@@ -317,35 +329,21 @@ def parse_json(text: str) -> NandGenome:
         raise FormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise FormatError(f"top level: expected an object, got {type(doc).__name__}")
-    if "inputs" not in doc:
-        raise FormatError("top level: missing field 'inputs'")
-    n = doc["inputs"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise FormatError(f"inputs: expected an integer >= 1, got {n!r}")
-    if "gates" not in doc:
-        raise FormatError("top level: missing field 'gates'")
+    for field in ("inputs", "gates"):
+        if field not in doc:
+            raise FormatError(f"top level: missing field {field!r}")
     gates_doc = doc["gates"]
     if not isinstance(gates_doc, list):
         raise FormatError(f"gates: expected an array, got {type(gates_doc).__name__}")
-    if not gates_doc:
-        raise FormatError("gates: at least one gate is required")
     gates = []
     for i, pair in enumerate(gates_doc):
         if not isinstance(pair, list) or len(pair) != 2:
             raise FormatError(f"gates[{i}]: expected an array of two sources")
-        sources = []
-        for j, obj in enumerate(pair):
-            where = f"gates[{i}][{j}]"
-            src = _parse_source(obj, where)
-            if src.kind == EXTERNAL and src.index >= n:
-                raise FormatError(f"{where}: external index {src.index} out of range for {n} inputs")
-            if src.kind == GATE and src.index >= i:
-                raise FormatError(
-                    f"{where}: gate index {src.index} must be below {i} (feed-forward)"
-                )
-            sources.append(src)
-        gates.append(tuple(sources))
-    return NandGenome(n, tuple(gates))
+        gates.append(tuple(_parse_source(obj, f"gates[{i}][{j}]") for j, obj in enumerate(pair)))
+    try:
+        return NandGenome(doc["inputs"], tuple(gates))
+    except StructureError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def export_dot(genome: NandGenome) -> str:

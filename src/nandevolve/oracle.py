@@ -13,11 +13,11 @@ from typing import Iterator
 
 from .netlist import (
     CapacityError,
-    InputSource,
     NandGenome,
     TruthTable,
     canonical_key,
     input_masks,
+    sources,
 )
 
 DEFAULT_BUDGET = 100_000_000
@@ -39,17 +39,9 @@ def _check_budget(num_inputs: int, num_gates: int, budget: int):
         )
 
 
-def _sources(num_inputs: int, limit: int) -> list[InputSource]:
-    """Allele table: ids 0..n-1 are externals, n.. are gate outputs."""
-    return [
-        InputSource.external(i) if i < num_inputs else InputSource.gate(i - num_inputs)
-        for i in range(limit)
-    ]
-
-
-def _genome_from_ids(num_inputs: int, ids, sources) -> NandGenome:
+def _genome_from_ids(num_inputs: int, ids, table) -> NandGenome:
     gates = tuple(
-        (sources[ids[2 * i]], sources[ids[2 * i + 1]]) for i in range(len(ids) // 2)
+        (table[ids[2 * i]], table[ids[2 * i + 1]]) for i in range(len(ids) // 2)
     )
     return NandGenome(num_inputs, gates)
 
@@ -62,14 +54,14 @@ def enumerate_genomes(num_inputs: int, num_gates: int,
     never truncates silently.
     """
     _check_budget(num_inputs, num_gates, budget)
-    sources = _sources(num_inputs, num_inputs + num_gates - 1)
+    table = sources(num_inputs, num_inputs + num_gates - 1)
     ranges = []
     for i in range(num_gates):
         ranges.extend((range(num_inputs + i), range(num_inputs + i)))
 
     def generate():
         for ids in itertools.product(*ranges):
-            yield _genome_from_ids(num_inputs, ids, sources)
+            yield _genome_from_ids(num_inputs, ids, table)
 
     return generate()
 
@@ -129,17 +121,29 @@ class MinimalityResult:
     canonical_count: int
 
 
+def _solve_level(target: TruthTable, num_gates: int) -> tuple[NandGenome | None, int, int]:
+    """(first solution in enumeration order or None, raw count, canonical
+    count) of the genomes with exactly num_gates gates realizing target."""
+    n = target.num_inputs
+    table = sources(n, n + num_gates - 1)
+    witness = None
+    raw = 0
+    keys = set()
+    for ids in _scan_solutions(n, num_gates, target.mask):
+        genome = _genome_from_ids(n, ids, table)
+        if witness is None:
+            witness = genome
+        raw += 1
+        keys.add(canonical_key(genome))
+    return witness, raw, len(keys)
+
+
 def count_solutions(target: TruthTable, num_gates: int,
                     budget: int = DEFAULT_BUDGET) -> SolutionCount:
     """Count genomes with exactly num_gates gates realizing the target."""
     _check_budget(target.num_inputs, num_gates, budget)
-    sources = _sources(target.num_inputs, target.num_inputs + num_gates - 1)
-    raw = 0
-    keys = set()
-    for ids in _scan_solutions(target.num_inputs, num_gates, target.mask):
-        raw += 1
-        keys.add(canonical_key(_genome_from_ids(target.num_inputs, ids, sources)))
-    return SolutionCount(raw=raw, canonical=len(keys))
+    _, raw, canonical = _solve_level(target, num_gates)
+    return SolutionCount(raw=raw, canonical=canonical)
 
 
 def minimal_gates(target: TruthTable, max_gates: int,
@@ -154,24 +158,7 @@ def minimal_gates(target: TruthTable, max_gates: int,
     for gates in range(1, max_gates + 1):
         _check_budget(target.num_inputs, gates, budget)
     for gates in range(1, max_gates + 1):
-        sources = _sources(target.num_inputs, target.num_inputs + gates - 1)
-        witness = None
-        raw = 0
-        keys = set()
-        for ids in _scan_solutions(target.num_inputs, gates, target.mask):
-            genome = _genome_from_ids(target.num_inputs, ids, sources)
-            if witness is None:
-                witness = genome
-            raw += 1
-            keys.add(canonical_key(genome))
+        witness, raw, canonical = _solve_level(target, gates)
         if witness is not None:
-            return MinimalityResult(
-                target=target,
-                minimal_gates=gates,
-                witness=witness,
-                raw_count=raw,
-                canonical_count=len(keys),
-            )
-    return MinimalityResult(
-        target=target, minimal_gates=None, witness=None, raw_count=0, canonical_count=0
-    )
+            return MinimalityResult(target, gates, witness, raw, canonical)
+    return MinimalityResult(target, None, None, 0, 0)

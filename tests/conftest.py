@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from nandevolve.netlist import InputSource, NandGenome
+from nandevolve.netlist import InputSource, NandGenome, sources
 
 
 def x(i):
@@ -19,9 +19,7 @@ def genome(num_inputs, *pairs):
 
 
 def source_from_id(num_inputs, allele):
-    if allele < num_inputs:
-        return InputSource.external(allele)
-    return InputSource.gate(allele - num_inputs)
+    return sources(num_inputs, allele + 1)[allele]
 
 
 def random_valid_genome(rng: random.Random, num_inputs, num_gates):

@@ -222,11 +222,23 @@ class TestParseSpec:
             ('{"entries": 5}', "entries"),
             ("[]", "entries"),
             ("{nope", "line 1"),
+            ('{"entries": [{"target": "and", "num_gates": 2, "base_seed": "x"}]}', "entries[0].base_seed"),
+            ('{"entries": [{"target": "and", "num_gates": 2, "population_size": 1}]}',
+             "entries[0].population_size"),
+            ('{"entries": [{"target": "and", "num_gates": 2, "mutation_rate": true}]}', "mutation_rate"),
         ],
     )
     def test_field_level_diagnostics(self, text, fragment):
         with pytest.raises(FormatError, match=fragment.replace("[", r"\[").replace("]", r"\]")):
             parse_spec(text)
+
+    def test_integer_rate_written_as_float(self):
+        spec = parse_spec(
+            '{"entries": [{"target": "and", "num_gates": 2, "mutation_rate": 1,'
+            ' "runs": 1, "max_generations": 0}]}'
+        )
+        rows = list(csv.DictReader(io.StringIO(to_csv(run_experiment(spec)))))
+        assert [row["mutation_rate"] for row in rows] == ["1.0", "1.0"]
 
     def test_with_base_seed(self):
         spec = with_base_seed(small_spec(base_seed=5), 77)

@@ -10,6 +10,7 @@ from nandevolve.evolve import (
     Individual,
     breed,
     random_genome,
+    random_source,
     run_evolution,
     step_generation,
 )
@@ -17,9 +18,11 @@ from nandevolve.netlist import (
     ArityError,
     EXTERNAL,
     GATE,
+    InputSource,
     NandGenome,
     TruthTable,
     fitness,
+    sources,
     truth_table_of,
 )
 
@@ -59,11 +62,31 @@ class TestGaConfig:
             {"num_gates": 2, "max_generations": -1},
             {"num_gates": 2, "seed": -1},
             {"num_gates": 2, "seed": 2**64},
+            {"num_gates": 2.5},
+            {"num_gates": 2, "population_size": True},
+            {"num_gates": 2, "mutation_rate": "0.1"},
+            {"num_gates": 2, "seed": 1.0},
+            {"num_gates": 2, "max_generations": None},
+            {"num_gates": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             GaConfig(**kwargs)
+
+
+class TestRandomSource:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_is_one_draw_from_the_allele_table(self, n):
+        num_gates = 5
+        table = sources(n, n + num_gates - 1)
+        for k, src in enumerate(table):
+            assert src == (InputSource.external(k) if k < n else InputSource.gate(k - n))
+        rng, twin = random.Random(n), random.Random(n)
+        for _ in range(200):
+            for i in range(num_gates):
+                assert random_source(rng, n, i) == table[twin.randrange(n + i)]
+        assert rng.getstate() == twin.getstate()
 
 
 class TestRandomGenome:

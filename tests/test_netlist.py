@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -146,30 +147,49 @@ class TestFitness:
 
 class TestValidity:
     def test_rejects_forward_reference(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match=r"gates\[0\]\[1\]: gate index 0 must be below 0"):
             genome(2, (x(0), g(0)))  # gate 0 cannot read any gate
 
     def test_rejects_self_reference(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match=r"gates\[1\]\[0\]: gate index 1 must be below 1"):
             genome(2, (x(0), x(1)), (g(1), x(0)))
 
     def test_rejects_external_out_of_range(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match=r"gates\[0\]\[1\]: external index 2 out of range"):
             genome(2, (x(0), x(2)))
 
     def test_rejects_empty(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match=r"^gates: "):
             NandGenome(2, ())
 
     def test_rejects_bad_arity(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match=r"^num_inputs: "):
             NandGenome(0, ((x(0), x(0)),))
 
     def test_rejects_bad_source(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match="unknown source type 'wire'"):
             InputSource("wire", 0)
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match="index must be a non-negative integer"):
             InputSource("gate", -1)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            ((x(0), g(0)),),
+            ((x(0), x(1)), (g(1), x(0))),
+            ((x(0), x(1)), (x(1), x(3))),
+        ],
+    )
+    def test_parse_json_reports_constructor_text(self, pairs):
+        doc = {
+            "inputs": 2,
+            "gates": [[{"type": src.kind, "index": src.index} for src in pair] for pair in pairs],
+        }
+        with pytest.raises(StructureError) as built:
+            NandGenome(2, pairs)
+        with pytest.raises(FormatError) as parsed:
+            parse_json(json.dumps(doc))
+        assert str(parsed.value) == str(built.value)
 
 
 class TestPrune:
@@ -214,8 +234,6 @@ class TestJson:
         assert parse_json(export_json(circuit)) == circuit
 
     def test_schema_shape(self, and_genome):
-        import json
-
         doc = json.loads(export_json(and_genome))
         assert doc == {
             "inputs": 2,

@@ -18,6 +18,10 @@ from nandevolve.oracle import (
 from conftest import g, genome, x
 
 
+PRESETS = {TruthTable.named(name).rows: name for name in ("and", "or", "nor", "xor", "xnor", "nand")}
+TWO_INPUT_TARGETS = [PRESETS.get(bits, f"tt:{bits}") for bits in (format(m, "04b") for m in range(16))]
+
+
 def solutions_by_filtering(target, num_gates):
     """Independent route: materialize the whole space and filter by table."""
     return [
@@ -81,13 +85,22 @@ class TestCountSolutions:
         assert result.raw == len(found) > 0
         assert genome(2, (x(0), x(1)), (g(0), g(0))) in found
 
-    @pytest.mark.parametrize("name,gates", [("and", 2), ("or", 3), ("nor", 3), ("xor", 3), ("nand", 2)])
+    # all 16 two-input functions, by preset name where one exists
+    @pytest.mark.parametrize("gates", [1, 2, 3])
+    @pytest.mark.parametrize("name", TWO_INPUT_TARGETS)
     def test_agrees_with_filtering_route(self, name, gates):
-        target = TruthTable.named(name)
+        target = TruthTable.parse(name)
         found = solutions_by_filtering(target, gates)
         result = count_solutions(target, gates)
         assert result.raw == len(found)
         assert result.canonical == len({canonical_key(circuit) for circuit in found})
+        # levels below `gates` are checked by their own parameters
+        minimal = minimal_gates(target, gates)
+        if minimal.minimal_gates == gates:
+            assert minimal.witness == found[0]
+            assert (minimal.raw_count, minimal.canonical_count) == (result.raw, result.canonical)
+        else:
+            assert not found or minimal.minimal_gates < gates
 
     def test_respects_budget(self):
         with pytest.raises(CapacityError):

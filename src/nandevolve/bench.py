@@ -14,7 +14,7 @@ import json
 import statistics
 from dataclasses import dataclass, replace
 
-from .evolve import SEED_LIMIT, GaConfig, require_int, require_rate, run_evolution
+from .evolve import SEED_LIMIT, GaConfig, require_int, run_evolution
 from .netlist import FormatError, NandGenome, TruthTable, canonical_key
 
 # Minimal NAND-gate counts per two-input target, used by the default
@@ -32,20 +32,27 @@ CSV_COLUMNS = [
 
 @dataclass(frozen=True)
 class ExperimentEntry:
-    """One batch: `runs` seeded evolutions of the same target and config."""
+    """One batch: `runs` seeded evolutions of the same target and config.
+
+    Every field the batch needs is checked when the entry is built: `runs`,
+    the run seeds base_seed .. base_seed + runs - 1 (all below SEED_LIMIT),
+    and the GA fields through run 0's GaConfig, whose float rate is kept.
+    Each ValueError starts with the field name.
+    """
 
     label: str
     target: TruthTable
     num_gates: int
-    population_size: int = 10
-    mutation_rate: float = 0.10
+    population_size: int = GaConfig.population_size
+    mutation_rate: float = GaConfig.mutation_rate
     runs: int = 10
     base_seed: int = 0
-    max_generations: int = 100_000
+    max_generations: int = GaConfig.max_generations
 
     def __post_init__(self):
         require_int("runs", self.runs, 1)
-        require_int("base_seed", self.base_seed, 0, SEED_LIMIT)
+        require_int("base_seed", self.base_seed, 0, SEED_LIMIT - self.runs + 1)
+        object.__setattr__(self, "mutation_rate", self.config_for_run(0).mutation_rate)
 
     def config_for_run(self, run_index: int) -> GaConfig:
         return GaConfig(
@@ -94,35 +101,21 @@ class ExperimentReport:
     entries: tuple[EntryReport, ...]
 
 
-def default_experiment_spec(base_seed: int = 0, runs: int = 10, population_size: int = 10,
-                       mutation_rate: float = 0.10,
-                       max_generations: int = 100_000) -> ExperimentSpec:
+def default_experiment_spec(**fields) -> ExperimentSpec:
     """The default five-target experiment: each two-input function at its
-    minimal gate count, population 10, 10 runs."""
-    entries = tuple(
-        ExperimentEntry(
-            label=name,
-            target=TruthTable.named(name),
-            num_gates=DEFAULT_GATES[name],
-            population_size=population_size,
-            mutation_rate=mutation_rate,
-            runs=runs,
-            base_seed=base_seed,
-            max_generations=max_generations,
-        )
+    minimal gate count. `fields` (population_size, mutation_rate, runs,
+    base_seed, max_generations) go to every ExperimentEntry unchanged."""
+    return ExperimentSpec(tuple(
+        ExperimentEntry(label=name, target=TruthTable.named(name),
+                        num_gates=DEFAULT_GATES[name], **fields)
         for name in DEFAULT_TARGET_ORDER
-    )
-    return ExperimentSpec(entries)
+    ))
 
 
 def run_entry(entry: ExperimentEntry) -> EntryReport:
     records = []
     for i in range(entry.runs):
-        try:
-            config = entry.config_for_run(i)
-        except ValueError as exc:
-            raise ValueError(f"entry {entry.label!r}: {exc}") from None
-        outcome = run_evolution(config, entry.target)
+        outcome = run_evolution(entry.config_for_run(i), entry.target)
         records.append(
             RunRecord(
                 run_index=i,
@@ -264,24 +257,12 @@ def _entry_from_doc(doc, where: str) -> ExperimentEntry:
         raise FormatError(f"{where}.target: expected a string")
     label = doc["target"].lower()
     target = TruthTable.parse(label)
-    # ExperimentEntry checks runs and base_seed, the GaConfig of run 0 the
-    # other fields; each ValueError starts with the field name. The rate
-    # becomes a float here, so an integer rate is written to the CSV as 1.0.
+    optional = ("population_size", "mutation_rate", "runs", "base_seed", "max_generations")
+    fields = {key: doc[key] for key in optional if key in doc}
     try:
-        entry = ExperimentEntry(
-            label=label,
-            target=target,
-            num_gates=doc["num_gates"],
-            population_size=doc.get("population_size", 10),
-            mutation_rate=require_rate("mutation_rate", doc.get("mutation_rate", 0.10)),
-            runs=doc.get("runs", 10),
-            base_seed=doc.get("base_seed", 0),
-            max_generations=doc.get("max_generations", 100_000),
-        )
-        entry.config_for_run(0)
+        return ExperimentEntry(label=label, target=target, num_gates=doc["num_gates"], **fields)
     except ValueError as exc:
         raise FormatError(f"{where}.{exc}") from None
-    return entry
 
 
 def parse_spec(text: str) -> ExperimentSpec:
@@ -291,8 +272,8 @@ def parse_spec(text: str) -> ExperimentSpec:
                       "population_size": P, "mutation_rate": R,
                       "runs": N, "base_seed": S, "max_generations": M}, ...]}
 
-    num_gates is required per entry; the rest default to the standard
-    protocol (population 10, mutation 0.10, 10 runs, base_seed 0).
+    num_gates is required per entry; the rest default to ExperimentEntry's
+    defaults, the standard protocol.
     """
     try:
         doc = json.loads(text)

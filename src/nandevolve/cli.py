@@ -13,6 +13,7 @@ import sys
 
 from .bench import (
     DEFAULT_GATES,
+    ExperimentEntry,
     default_experiment_spec,
     parse_spec,
     run_experiment,
@@ -78,10 +79,13 @@ def build_parser() -> _Parser:
     _target_flag(p)
     p.add_argument("--gates", type=int, help="NAND gates per genome")
     p.add_argument("--inputs", type=int, help="external inputs (must match the target's arity)")
-    p.add_argument("--pop", type=int, default=10, help="population size (default 10)")
-    p.add_argument("--mutation", type=float, default=0.10, help="per-gene mutation rate (default 0.10)")
-    p.add_argument("--max-gen", type=int, default=100_000, help="generation cap (default 100000)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--pop", type=int, default=GaConfig.population_size,
+                   help="population size (default %(default)s)")
+    p.add_argument("--mutation", type=float, default=GaConfig.mutation_rate,
+                   help="per-gene mutation rate (default %(default)s)")
+    p.add_argument("--max-gen", type=int, default=GaConfig.max_generations,
+                   help="generation cap (default %(default)s)")
+    p.add_argument("--seed", type=int, default=GaConfig.seed, help="RNG seed (default %(default)s)")
     p.add_argument("--trace", action="store_true",
                    help="emit per-generation CSV (generation,best_fitness,mean_fitness) on stderr")
     p.add_argument("--export-json", metavar="PATH", help="write the solution netlist JSON here instead of stdout")
@@ -97,12 +101,14 @@ def build_parser() -> _Parser:
                      help="the five standard targets at their minimal gate counts")
     p.add_argument("--seed", type=int, default=None,
                    help="base seed (run i uses base+i); overrides spec-file seeds")
-    p.add_argument("--runs", type=int, default=10, help="runs per target with --paper-defaults (default 10)")
-    p.add_argument("--pop", type=int, default=10, help="population size with --paper-defaults (default 10)")
-    p.add_argument("--mutation", type=float, default=0.10,
-                   help="mutation rate with --paper-defaults (default 0.10)")
-    p.add_argument("--max-gen", type=int, default=100_000,
-                   help="generation cap with --paper-defaults (default 100000)")
+    p.add_argument("--runs", type=int, default=ExperimentEntry.runs,
+                   help="runs per target with --paper-defaults (default %(default)s)")
+    p.add_argument("--pop", type=int, default=GaConfig.population_size,
+                   help="population size with --paper-defaults (default %(default)s)")
+    p.add_argument("--mutation", type=float, default=GaConfig.mutation_rate,
+                   help="mutation rate with --paper-defaults (default %(default)s)")
+    p.add_argument("--max-gen", type=int, default=GaConfig.max_generations,
+                   help="generation cap with --paper-defaults (default %(default)s)")
     p.add_argument("--out", metavar="PATH", help="write CSV here (default: stdout)")
     p.add_argument("--plot", metavar="PATH", help="write an SVG bar chart of mean generations")
     p.set_defaults(func=cmd_bench)
@@ -169,16 +175,15 @@ def cmd_bench(args) -> int:
     if args.spec:
         with open(args.spec) as fh:
             spec = parse_spec(fh.read())
-        if args.seed is not None:
-            spec = with_base_seed(spec, args.seed)
     else:
         spec = default_experiment_spec(
-            base_seed=args.seed if args.seed is not None else 0,
             runs=args.runs,
             population_size=args.pop,
             mutation_rate=args.mutation,
             max_generations=args.max_gen,
         )
+    if args.seed is not None:
+        spec = with_base_seed(spec, args.seed)
     report = run_experiment(spec)
     csv_text = to_csv(report)
     if args.out:

@@ -51,7 +51,7 @@ class GaConfig:
         require_int("num_gates", self.num_gates, 1)
         require_int("num_inputs", self.num_inputs, 1)
         require_int("population_size", self.population_size, 2)
-        require_rate("mutation_rate", self.mutation_rate)
+        object.__setattr__(self, "mutation_rate", require_rate("mutation_rate", self.mutation_rate))
         require_int("max_generations", self.max_generations, 0)
         require_int("seed", self.seed, 0, SEED_LIMIT)
 
@@ -111,7 +111,7 @@ def random_genome(rng: random.Random, num_inputs: int, num_gates: int) -> NandGe
 
 
 def breed(parent_a: NandGenome, parent_b: NandGenome, rng: random.Random,
-          mutation_rate: float = 0.10) -> NandGenome:
+          mutation_rate: float = GaConfig.mutation_rate) -> NandGenome:
     """Child genome: per gene, parent_a's allele with probability
     (1-mutation_rate)/2, parent_b's with the same, otherwise a fresh uniform
     draw from that position's full allele space."""

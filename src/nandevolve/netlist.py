@@ -90,7 +90,7 @@ class NandGenome:
         n = self.num_inputs
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise StructureError(f"num_inputs: expected an integer >= 1, got {n!r}")
-        gates = tuple((a, b) for a, b in self.gates)
+        gates = tuple(map(tuple, self.gates))
         object.__setattr__(self, "gates", gates)
         if not gates:
             raise StructureError("gates: at least one gate is required")
@@ -98,6 +98,8 @@ class NandGenome:
         # when a check fails; pair.index finds the slot, as equal sources
         # fail alike.
         for i, pair in enumerate(gates):
+            if len(pair) != 2:
+                raise StructureError(f"gates[{i}]: expected a pair of sources, got {pair!r}")
             for src in pair:
                 if not isinstance(src, InputSource):
                     problem = f"expected an InputSource, got {src!r}"
@@ -337,8 +339,8 @@ def parse_json(text: str) -> NandGenome:
         raise FormatError(f"gates: expected an array, got {type(gates_doc).__name__}")
     gates = []
     for i, pair in enumerate(gates_doc):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise FormatError(f"gates[{i}]: expected an array of two sources")
+        if not isinstance(pair, list):
+            raise FormatError(f"gates[{i}]: expected an array, got {type(pair).__name__}")
         gates.append(tuple(_parse_source(obj, f"gates[{i}][{j}]") for j, obj in enumerate(pair)))
     try:
         return NandGenome(doc["inputs"], tuple(gates))

@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
+from .evolve import require_int
 from .netlist import (
     CapacityError,
     NandGenome,
@@ -32,6 +33,7 @@ def genome_count(num_inputs: int, num_gates: int) -> int:
 
 
 def _check_budget(num_inputs: int, num_gates: int, budget: int):
+    require_int("num_gates", num_gates, 1)
     count = genome_count(num_inputs, num_gates)
     if count > budget:
         raise CapacityError(
@@ -153,8 +155,7 @@ def minimal_gates(target: TruthTable, max_gates: int,
     The whole search must fit the budget (checked for every level up front,
     so results never depend on how far a cheap target happened to get).
     """
-    if max_gates < 1:
-        raise ValueError("max_gates must be >= 1")
+    require_int("max_gates", max_gates, 1)
     for gates in range(1, max_gates + 1):
         _check_budget(target.num_inputs, gates, budget)
     for gates in range(1, max_gates + 1):

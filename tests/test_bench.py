@@ -41,6 +41,13 @@ class TestDefaultSpec:
             assert entry.runs == 10
             assert entry.base_seed == 42
 
+    def test_protocol_defaults_are_gaconfigs(self):
+        config = GaConfig(num_gates=1)
+        for entry in default_experiment_spec().entries:
+            assert entry.population_size == config.population_size
+            assert entry.mutation_rate == config.mutation_rate
+            assert entry.max_generations == config.max_generations
+
 
 class TestRunExperiment:
     def test_report_shape_and_determinism(self):
@@ -100,9 +107,8 @@ class TestRunExperiment:
                 assert record.genome is None and record.key is None
 
     def test_config_errors_name_the_entry(self):
-        entry = ExperimentEntry("and", TruthTable.named("and"), 2, population_size=1, runs=2)
-        with pytest.raises(ValueError, match="'and'"):
-            run_entry(entry)
+        with pytest.raises(ValueError, match="^population_size: "):
+            ExperimentEntry("and", TruthTable.named("and"), 2, population_size=1, runs=2)
 
     def test_distinct_solutions_are_sound(self):
         er = run_entry(ExperimentEntry("or", TruthTable.named("or"), 3, runs=10, base_seed=42))
@@ -226,6 +232,8 @@ class TestParseSpec:
             ('{"entries": [{"target": "and", "num_gates": 2, "population_size": 1}]}',
              "entries[0].population_size"),
             ('{"entries": [{"target": "and", "num_gates": 2, "mutation_rate": true}]}', "mutation_rate"),
+            ('{"entries": [{"target": "and", "num_gates": 2, "runs": 3, "base_seed": 18446744073709551614}]}',
+             "entries[0].base_seed"),
         ],
     )
     def test_field_level_diagnostics(self, text, fragment):
@@ -237,8 +245,12 @@ class TestParseSpec:
             '{"entries": [{"target": "and", "num_gates": 2, "mutation_rate": 1,'
             ' "runs": 1, "max_generations": 0}]}'
         )
-        rows = list(csv.DictReader(io.StringIO(to_csv(run_experiment(spec)))))
-        assert [row["mutation_rate"] for row in rows] == ["1.0", "1.0"]
+        built = ExperimentSpec(
+            (ExperimentEntry("and", TruthTable.named("and"), 2, mutation_rate=1, runs=1, max_generations=0),)
+        )
+        for s in (spec, built):
+            rows = list(csv.DictReader(io.StringIO(to_csv(run_experiment(s)))))
+            assert [row["mutation_rate"] for row in rows] == ["1.0", "1.0"]
 
     def test_with_base_seed(self):
         spec = with_base_seed(small_spec(base_seed=5), 77)

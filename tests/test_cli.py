@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from nandevolve import bench
 from nandevolve.cli import main
 from nandevolve.netlist import export_json, parse_json, truth_table_of
 
@@ -150,6 +151,14 @@ class TestBench:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["seed"] for r in rows if r["kind"] == "run"] == ["500", "501"]
 
+    def test_bad_last_seed_fails_before_any_run(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "run_evolution", lambda *args: calls.append(args))
+        code, _, err = run_cli(capsys, "bench", "--paper-defaults", "--runs", "3",
+                               "--seed", "18446744073709551614")
+        assert code == 65 and "base_seed" in err
+        assert calls == []
+
     def test_malformed_spec_is_data_error(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text('{"entries": [{"target": "and"}]}')
@@ -196,6 +205,10 @@ class TestOracle:
         code, _, err = run_cli(capsys, "oracle", "--target", "and", "--max-gates", "9")
         assert code == 3
         assert "budget" in err
+
+    def test_bad_max_gates_is_data_error(self, capsys):
+        code, _, err = run_cli(capsys, "oracle", "--target", "and", "--max-gates", "0")
+        assert code == 65 and "max_gates" in err
 
 
 class TestShow:

@@ -162,6 +162,11 @@ class TestValidity:
         with pytest.raises(StructureError, match=r"^gates: "):
             NandGenome(2, ())
 
+    @pytest.mark.parametrize("pair", [(x(0),), (x(0), x(1), x(0))])
+    def test_rejects_gate_that_is_not_a_pair(self, pair):
+        with pytest.raises(StructureError, match=r"^gates\[1\]: expected a pair of sources, got "):
+            NandGenome(2, ((x(0), x(1)), pair))
+
     def test_rejects_bad_arity(self):
         with pytest.raises(StructureError, match=r"^num_inputs: "):
             NandGenome(0, ((x(0), x(0)),))
@@ -178,6 +183,7 @@ class TestValidity:
             ((x(0), g(0)),),
             ((x(0), x(1)), (g(1), x(0))),
             ((x(0), x(1)), (x(1), x(3))),
+            ((x(0), x(1)), (g(0), x(1), x(0))),
         ],
     )
     def test_parse_json_reports_constructor_text(self, pairs):

@@ -134,8 +134,22 @@ class TestMinimalGates:
             minimal_gates(TruthTable.named("nand"), 7)
 
     def test_rejects_bad_max(self):
-        with pytest.raises(ValueError):
-            minimal_gates(TruthTable.named("and"), 0)
+        for max_gates in (0, 2.5, True):
+            with pytest.raises(ValueError, match="^max_gates: "):
+                minimal_gates(TruthTable.named("and"), max_gates)
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda: count_solutions(TruthTable.named("and"), 0),
+            lambda: count_solutions(TruthTable.named("and"), 2.5),
+            lambda: enumerate_genomes(2, 0),
+        ],
+        ids=["count-0", "count-2.5", "enumerate-0"],
+    )
+    def test_rejects_bad_gate_count(self, query):
+        with pytest.raises(ValueError, match="^num_gates: "):
+            query()
 
 
 class TestCrossChecks:

@@ -10,9 +10,10 @@ member realizes the target exactly.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .netlist import ArityError, InputSource, NandGenome, TruthTable, fitness, sources
+from .netlist import ArityError, NandGenome, TruthTable, genome_from_ids, genome_ids, input_masks
 
 # Seeds are unsigned 64-bit integers.
 SEED_LIMIT = 2**64
@@ -94,20 +95,68 @@ class RunOutcome:
     trace: tuple[GenPoint, ...] | None = None
 
 
-def random_source(rng: random.Random, num_inputs: int, gate_index: int) -> InputSource:
-    """Uniform draw from a gate input's allele space: num_inputs externals
-    plus the gate_index earlier gates."""
-    count = num_inputs + gate_index
-    return sources(num_inputs, count)[rng.randrange(count)]
+def _gene_sizes(num_inputs: int, num_gates: int) -> tuple[int, ...]:
+    """Allele-space size of every gene, in gene order: both genes of gate i
+    range over the num_inputs + i ids below it."""
+    return tuple(num_inputs + i for i in range(num_gates) for _ in range(2))
+
+
+def _random_ids(rng: random.Random, sizes: tuple[int, ...]) -> list[int]:
+    """Fresh genome as allele ids: one uniform randrange per gene."""
+    randrange = rng.randrange
+    return [randrange(size) for size in sizes]
+
+
+def _breed_ids(ids_a: list[int], ids_b: list[int], rng: random.Random,
+               sizes: tuple[int, ...], split: float) -> list[int]:
+    """Child allele ids: per gene one random() u; ids_a's allele if
+    u < split, ids_b's if u < 2*split, otherwise a fresh randrange."""
+    random_, randrange = rng.random, rng.randrange
+    both = 2.0 * split
+    return [
+        a if (u := random_()) < split else b if u < both else randrange(size)
+        for a, b, size in zip(ids_a, ids_b, sizes)
+    ]
+
+
+def _scorer(target: TruthTable) -> Callable[[list[int]], float]:
+    """fitness() on allele ids: `values` starts as the input masks and
+    gains one mask per gate, so an allele id indexes it directly."""
+    rows = 1 << target.num_inputs
+    full = (1 << rows) - 1
+    wanted = target.mask
+    inputs = list(input_masks(target.num_inputs))
+
+    def score(ids: list[int]) -> float:
+        values = inputs.copy()
+        pairs = iter(ids)
+        for a, b in zip(pairs, pairs):
+            values.append(~(values[a] & values[b]) & full)
+        return (rows - (values[-1] ^ wanted).bit_count()) / rows
+
+    return score
+
+
+def _next_generation(population: list[list[int]], fits: list[float], rng: random.Random,
+                     sizes: tuple[int, ...], split: float, size: int) -> list[list[int]]:
+    """Children of one generational replacement (see step_generation)."""
+    pool = [ids for ids, fit in zip(population, fits) if fit > 0.0]
+    if not pool:
+        return [_random_ids(rng, sizes) for _ in range(size)]
+    randrange, k = rng.randrange, len(pool)
+    return [_breed_ids(pool[randrange(k)], pool[randrange(k)], rng, sizes, split) for _ in range(size)]
+
+
+def _check_arity(config: GaConfig, target: TruthTable) -> None:
+    if target.num_inputs != config.num_inputs:
+        raise ArityError(
+            f"target has {target.num_inputs} inputs, config expects {config.num_inputs}"
+        )
 
 
 def random_genome(rng: random.Random, num_inputs: int, num_gates: int) -> NandGenome:
     """Genome with every gene drawn uniformly and independently."""
-    gates = tuple(
-        (random_source(rng, num_inputs, i), random_source(rng, num_inputs, i))
-        for i in range(num_gates)
-    )
-    return NandGenome(num_inputs, gates)
+    return genome_from_ids(num_inputs, _random_ids(rng, _gene_sizes(num_inputs, num_gates)))
 
 
 def breed(parent_a: NandGenome, parent_b: NandGenome, rng: random.Random,
@@ -118,31 +167,9 @@ def breed(parent_a: NandGenome, parent_b: NandGenome, rng: random.Random,
     if parent_a.num_inputs != parent_b.num_inputs or parent_a.num_gates != parent_b.num_gates:
         raise ArityError("parents must agree on num_inputs and num_gates")
     n = parent_a.num_inputs
-    split = (1.0 - mutation_rate) / 2.0
-    gates = []
-    for i, (pair_a, pair_b) in enumerate(zip(parent_a.gates, parent_b.gates)):
-        child_pair = []
-        for gene_a, gene_b in zip(pair_a, pair_b):
-            u = rng.random()
-            if u < split:
-                child_pair.append(gene_a)
-            elif u < 2.0 * split:
-                child_pair.append(gene_b)
-            else:
-                child_pair.append(random_source(rng, n, i))
-        gates.append(tuple(child_pair))
-    return NandGenome(n, tuple(gates))
-
-
-def _evaluated(genome: NandGenome, target: TruthTable) -> Individual:
-    return Individual(genome, fitness(genome, target))
-
-
-def _fresh_population(rng: random.Random, target: TruthTable, config: GaConfig) -> list[Individual]:
-    return [
-        _evaluated(random_genome(rng, config.num_inputs, config.num_gates), target)
-        for _ in range(config.population_size)
-    ]
+    child = _breed_ids(genome_ids(parent_a), genome_ids(parent_b), rng,
+                       _gene_sizes(n, parent_a.num_gates), (1.0 - mutation_rate) / 2.0)
+    return genome_from_ids(n, child)
 
 
 def step_generation(population: list[Individual], target: TruthTable,
@@ -154,16 +181,17 @@ def step_generation(population: list[Individual], target: TruthTable,
     pool. If the whole population has zero fitness the population is
     reinitialized randomly instead. Output size always equals the input size.
     """
-    pool = [ind for ind in population if ind.fitness > 0.0]
-    if not pool:
-        return _fresh_population(rng, target, config)
-    children = []
-    for _ in range(config.population_size):
-        parent_a = pool[rng.randrange(len(pool))]
-        parent_b = pool[rng.randrange(len(pool))]
-        child = breed(parent_a.genome, parent_b.genome, rng, config.mutation_rate)
-        children.append(_evaluated(child, target))
-    return children
+    _check_arity(config, target)
+    n, num_gates = config.num_inputs, config.num_gates
+    for ind in population:
+        if ind.fitness > 0.0 and (ind.genome.num_inputs != n or ind.genome.num_gates != num_gates):
+            raise ArityError(f"breeding members must have {n} inputs and {num_gates} gates")
+    children = _next_generation(
+        [genome_ids(ind.genome) for ind in population], [ind.fitness for ind in population],
+        rng, _gene_sizes(n, num_gates), config.crossover_split, config.population_size,
+    )
+    score = _scorer(target)
+    return [Individual(genome_from_ids(n, ids), score(ids)) for ids in children]
 
 
 def run_evolution(config: GaConfig, target: TruthTable, trace: bool = False) -> RunOutcome:
@@ -172,39 +200,38 @@ def run_evolution(config: GaConfig, target: TruthTable, trace: bool = False) -> 
     The initial random population is generation 0 and is checked before any
     breeding, so a lucky initialization reports generation 0. All randomness
     comes from one stream seeded with config.seed; identical inputs give a
-    bit-identical outcome, trace included.
+    bit-identical outcome, trace included. Members are allele-id lists (see
+    netlist.sources); only the genomes returned are built as NandGenome.
     """
-    if target.num_inputs != config.num_inputs:
-        raise ArityError(
-            f"target has {target.num_inputs} inputs, config expects {config.num_inputs}"
-        )
+    _check_arity(config, target)
+    n, size = config.num_inputs, config.population_size
+    sizes = _gene_sizes(n, config.num_gates)
+    split = config.crossover_split
+    score = _scorer(target)
     rng = random.Random(config.seed)
-    population = _fresh_population(rng, target, config)
+    population = [_random_ids(rng, sizes) for _ in range(size)]
     points: list[GenPoint] | None = [] if trace else None
-    best: Individual | None = None
+    best_ids: list[int] = []
+    best_fitness = -1.0
     generation = 0
     while True:
+        fits = [score(ids) for ids in population]
+        top = max(fits)
         if points is not None:
-            fits = [ind.fitness for ind in population]
-            points.append(GenPoint(generation, max(fits), sum(fits) / len(fits)))
-        for ind in population:
-            if ind.fitness == 1.0:
-                return RunOutcome(
-                    solved=True,
-                    generations=generation,
-                    genome=ind.genome,
-                    best=ind,
-                    trace=tuple(points) if points is not None else None,
-                )
-            if best is None or ind.fitness > best.fitness:
-                best = ind
-        if generation == config.max_generations:
+            points.append(GenPoint(generation, top, sum(fits) / len(fits)))
+        # The first member reaching a new best wins ties: earliest
+        # generation, then lowest index.
+        if top > best_fitness:
+            best_ids, best_fitness = population[fits.index(top)], top
+        if top == 1.0 or generation == config.max_generations:
+            best = Individual(genome_from_ids(n, best_ids), best_fitness)
+            solved = top == 1.0
             return RunOutcome(
-                solved=False,
+                solved=solved,
                 generations=generation,
-                genome=None,
+                genome=best.genome if solved else None,
                 best=best,
                 trace=tuple(points) if points is not None else None,
             )
-        population = step_generation(population, target, rng, config)
+        population = _next_generation(population, fits, rng, sizes, split, size)
         generation += 1

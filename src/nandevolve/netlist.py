@@ -90,15 +90,15 @@ class NandGenome:
         n = self.num_inputs
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise StructureError(f"num_inputs: expected an integer >= 1, got {n!r}")
-        gates = tuple(map(tuple, self.gates))
-        object.__setattr__(self, "gates", gates)
+        gates = self.gates
+        if not isinstance(gates, (tuple, list)):
+            raise StructureError(f"gates: expected a sequence of gate pairs, got {gates!r}")
         if not gates:
             raise StructureError("gates: at least one gate is required")
-        # This runs once per GA child, so the location text is built only
-        # when a check fails; pair.index finds the slot, as equal sources
-        # fail alike.
+        # The location text is built only when a check fails; pair.index
+        # finds the slot, as equal sources fail alike.
         for i, pair in enumerate(gates):
-            if len(pair) != 2:
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
                 raise StructureError(f"gates[{i}]: expected a pair of sources, got {pair!r}")
             for src in pair:
                 if not isinstance(src, InputSource):
@@ -112,10 +112,29 @@ class NandGenome:
                 else:
                     problem = f"gate index {src.index} must be below {i} (feed-forward)"
                 raise StructureError(f"gates[{i}][{pair.index(src)}]: {problem}")
+        object.__setattr__(self, "gates", tuple(map(tuple, gates)))
 
     @property
     def num_gates(self) -> int:
         return len(self.gates)
+
+
+def genome_from_ids(num_inputs: int, ids) -> NandGenome:
+    """Genome whose gate i is wired from allele ids ids[2i] and ids[2i+1]
+    (see sources); NandGenome checks the feed-forward rule. num_inputs must
+    already be an int >= 1, as GaConfig and the oracle check it."""
+    count = num_inputs + len(ids) // 2
+    if len(ids) % 2 or (ids and not 0 <= min(ids) <= max(ids) < count):
+        raise StructureError(f"ids: expected pairs of allele ids in [0, {count}), got {ids!r}")
+    table = sources(num_inputs, count)
+    pairs = iter(ids)
+    return NandGenome(num_inputs, tuple((table[a], table[b]) for a, b in zip(pairs, pairs)))
+
+
+def genome_ids(genome: NandGenome) -> list[int]:
+    """The genome's allele ids in gene order; inverse of genome_from_ids."""
+    n = genome.num_inputs
+    return [src.index if src.kind == EXTERNAL else n + src.index for pair in genome.gates for src in pair]
 
 
 _PRESETS = {

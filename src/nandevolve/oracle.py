@@ -17,8 +17,8 @@ from .netlist import (
     NandGenome,
     TruthTable,
     canonical_key,
+    genome_from_ids,
     input_masks,
-    sources,
 )
 
 DEFAULT_BUDGET = 100_000_000
@@ -33,19 +33,13 @@ def genome_count(num_inputs: int, num_gates: int) -> int:
 
 
 def _check_budget(num_inputs: int, num_gates: int, budget: int):
+    require_int("num_inputs", num_inputs, 1)
     require_int("num_gates", num_gates, 1)
     count = genome_count(num_inputs, num_gates)
     if count > budget:
         raise CapacityError(
             f"{count} genomes at {num_gates} gates exceeds the budget of {budget}"
         )
-
-
-def _genome_from_ids(num_inputs: int, ids, table) -> NandGenome:
-    gates = tuple(
-        (table[ids[2 * i]], table[ids[2 * i + 1]]) for i in range(len(ids) // 2)
-    )
-    return NandGenome(num_inputs, gates)
 
 
 def enumerate_genomes(num_inputs: int, num_gates: int,
@@ -56,14 +50,13 @@ def enumerate_genomes(num_inputs: int, num_gates: int,
     never truncates silently.
     """
     _check_budget(num_inputs, num_gates, budget)
-    table = sources(num_inputs, num_inputs + num_gates - 1)
     ranges = []
     for i in range(num_gates):
         ranges.extend((range(num_inputs + i), range(num_inputs + i)))
 
     def generate():
         for ids in itertools.product(*ranges):
-            yield _genome_from_ids(num_inputs, ids, table)
+            yield genome_from_ids(num_inputs, ids)
 
     return generate()
 
@@ -127,12 +120,11 @@ def _solve_level(target: TruthTable, num_gates: int) -> tuple[NandGenome | None,
     """(first solution in enumeration order or None, raw count, canonical
     count) of the genomes with exactly num_gates gates realizing target."""
     n = target.num_inputs
-    table = sources(n, n + num_gates - 1)
     witness = None
     raw = 0
     keys = set()
     for ids in _scan_solutions(n, num_gates, target.mask):
-        genome = _genome_from_ids(n, ids, table)
+        genome = genome_from_ids(n, ids)
         if witness is None:
             witness = genome
         raw += 1

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from nandevolve.netlist import InputSource, NandGenome, sources
+from nandevolve.netlist import InputSource, NandGenome, genome_from_ids
 
 
 def x(i):
@@ -18,31 +18,21 @@ def genome(num_inputs, *pairs):
     return NandGenome(num_inputs, tuple(pairs))
 
 
-def source_from_id(num_inputs, allele):
-    return sources(num_inputs, allele + 1)[allele]
-
-
 def random_valid_genome(rng: random.Random, num_inputs, num_gates):
-    gates = tuple(
-        (
-            source_from_id(num_inputs, rng.randrange(num_inputs + i)),
-            source_from_id(num_inputs, rng.randrange(num_inputs + i)),
-        )
-        for i in range(num_gates)
-    )
-    return NandGenome(num_inputs, gates)
+    ids = [rng.randrange(num_inputs + i) for i in range(num_gates) for _ in range(2)]
+    return genome_from_ids(num_inputs, ids)
 
 
 @st.composite
 def genomes(draw, max_inputs=3, max_gates=8):
     n = draw(st.integers(min_value=1, max_value=max_inputs))
     num_gates = draw(st.integers(min_value=1, max_value=max_gates))
-    gates = []
-    for i in range(num_gates):
-        a = draw(st.integers(min_value=0, max_value=n + i - 1))
-        b = draw(st.integers(min_value=0, max_value=n + i - 1))
-        gates.append((source_from_id(n, a), source_from_id(n, b)))
-    return NandGenome(n, tuple(gates))
+    ids = [
+        draw(st.integers(min_value=0, max_value=n + i - 1))
+        for i in range(num_gates)
+        for _ in range(2)
+    ]
+    return genome_from_ids(n, ids)
 
 
 # the four-gate exclusive-or construction: NAND(NAND(x0, NAND(x0,x1)), NAND(x1, NAND(x0,x1)))

@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import nandevolve.evolve as evolve_mod
@@ -10,7 +12,6 @@ from nandevolve.evolve import (
     Individual,
     breed,
     random_genome,
-    random_source,
     run_evolution,
     step_generation,
 )
@@ -22,10 +23,12 @@ from nandevolve.netlist import (
     NandGenome,
     TruthTable,
     fitness,
+    genome_from_ids,
     sources,
     truth_table_of,
 )
 
+import reference_ga
 from conftest import g, genome, x
 
 
@@ -78,14 +81,17 @@ class TestGaConfig:
 class TestRandomSource:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_is_one_draw_from_the_allele_table(self, n):
+        # every gene of a fresh genome is one randrange over its gate's allele table
         num_gates = 5
         table = sources(n, n + num_gates - 1)
         for k, src in enumerate(table):
             assert src == (InputSource.external(k) if k < n else InputSource.gate(k - n))
         rng, twin = random.Random(n), random.Random(n)
         for _ in range(200):
-            for i in range(num_gates):
-                assert random_source(rng, n, i) == table[twin.randrange(n + i)]
+            circuit = random_genome(rng, n, num_gates)
+            for i, pair in enumerate(circuit.gates):
+                for src in pair:
+                    assert src == table[twin.randrange(n + i)]
         assert rng.getstate() == twin.getstate()
 
 
@@ -264,33 +270,122 @@ class TestRunEvolution:
         outs = {run_evolution(GaConfig(num_gates=5, seed=s), target).generations for s in range(6)}
         assert len(outs) > 1
 
+    @pytest.mark.parametrize("target_name, max_generations", [("xor", 100_000), ("xnor", 200)])
+    def test_builds_only_the_returned_genome(self, monkeypatch, target_name, max_generations):
+        # members are allele-id lists; one NandGenome is built, for the result
+        built = []
+        real_init = NandGenome.__post_init__
+
+        def counting_init(self):
+            built.append(self)
+            real_init(self)
+
+        monkeypatch.setattr(NandGenome, "__post_init__", counting_init)
+        cfg = GaConfig(num_gates=4, seed=5, max_generations=max_generations)
+        out = run_evolution(cfg, TruthTable.named(target_name))
+        assert out.generations > 10
+        assert built == [out.best.genome]
+
     def test_zero_fitness_members_never_breed(self, monkeypatch):
         target = TruthTable.named("nor")
         seen_parents = []
-        real_breed = evolve_mod.breed
+        real_breed = evolve_mod._breed_ids
 
-        def spying_breed(pa, pb, rng, mutation_rate=0.10):
-            seen_parents.append(pa)
-            seen_parents.append(pb)
-            return real_breed(pa, pb, rng, mutation_rate)
+        def spying_breed(ids_a, ids_b, rng, sizes, split):
+            seen_parents.append(ids_a)
+            seen_parents.append(ids_b)
+            return real_breed(ids_a, ids_b, rng, sizes, split)
 
-        monkeypatch.setattr(evolve_mod, "breed", spying_breed)
+        monkeypatch.setattr(evolve_mod, "_breed_ids", spying_breed)
         out = run_evolution(GaConfig(num_gates=4, seed=9, max_generations=2000), target)
         assert out.solved and seen_parents
         for parent in seen_parents:
-            assert fitness(parent, target) > 0.0
+            assert fitness(genome_from_ids(2, parent), target) > 0.0
 
     def test_every_genome_in_run_is_valid(self, monkeypatch):
         target = TruthTable.named("xor")
         checked = []
-        real = evolve_mod._evaluated
+        real_breed = evolve_mod._breed_ids
 
-        def spying_evaluated(circuit, tgt):
+        def spying_breed(ids_a, ids_b, rng, sizes, split):
+            child = real_breed(ids_a, ids_b, rng, sizes, split)
+            assert len(child) == 8
+            for k, allele in enumerate(child):
+                assert 0 <= allele < 2 + k // 2
+            circuit = genome_from_ids(2, child)
             assert_feed_forward(circuit)
             checked.append(circuit)
-            return real(circuit, tgt)
+            return child
 
-        monkeypatch.setattr(evolve_mod, "_evaluated", spying_evaluated)
+        monkeypatch.setattr(evolve_mod, "_breed_ids", spying_breed)
         out = run_evolution(GaConfig(num_gates=4, seed=13, max_generations=2000), target)
         assert out.solved
         assert len(checked) >= 10
+
+
+# Differential tests: the allele-id core must reproduce the object-based
+# reference GA (tests/reference_ga.py) exactly, RNG state included.
+seeds = st.integers(min_value=0, max_value=2**64 - 1)
+arities = st.integers(min_value=1, max_value=4)
+gate_counts = st.integers(min_value=1, max_value=6)
+population_sizes = st.integers(min_value=2, max_value=10)
+rates = st.one_of(st.sampled_from([0.0, 0.1, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+targets = arities.flatmap(
+    lambda n: st.integers(min_value=0, max_value=(1 << (1 << n)) - 1).map(
+        lambda mask: TruthTable.from_mask(n, mask)
+    )
+)
+
+
+class TestMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(target=targets, num_gates=gate_counts, population_size=population_sizes,
+           mutation_rate=rates, max_generations=st.integers(min_value=0, max_value=50),
+           seed=seeds, trace=st.booleans())
+    def test_run_evolution(self, target, num_gates, population_size, mutation_rate,
+                           max_generations, seed, trace):
+        cfg = GaConfig(num_gates=num_gates, num_inputs=target.num_inputs,
+                       population_size=population_size, mutation_rate=mutation_rate,
+                       max_generations=max_generations, seed=seed)
+        assert run_evolution(cfg, target, trace) == reference_ga.run_evolution(cfg, target, trace)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=seeds, num_inputs=arities, num_gates=gate_counts)
+    def test_random_genome(self, seed, num_inputs, num_gates):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert random_genome(rng, num_inputs, num_gates) == reference_ga.random_genome(
+                twin, num_inputs, num_gates)
+        assert rng.getstate() == twin.getstate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=seeds, num_inputs=arities, num_gates=gate_counts, mutation_rate=rates)
+    def test_breed(self, seed, num_inputs, num_gates, mutation_rate):
+        rng, twin = random.Random(seed), random.Random(seed)
+        pa = reference_ga.random_genome(twin, num_inputs, num_gates)
+        pb = reference_ga.random_genome(twin, num_inputs, num_gates)
+        rng.setstate(twin.getstate())
+        for _ in range(5):
+            assert breed(pa, pb, rng, mutation_rate) == reference_ga.breed(pa, pb, twin, mutation_rate)
+        assert rng.getstate() == twin.getstate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=seeds, target=targets, num_gates=gate_counts, mutation_rate=rates,
+           culled=st.lists(st.booleans(), min_size=2, max_size=10))
+    def test_step_generation(self, seed, target, num_gates, mutation_rate, culled):
+        # culled members get fitness 0, so small and empty breeding pools occur
+        n = target.num_inputs
+        cfg = GaConfig(num_gates=num_gates, num_inputs=n, population_size=len(culled),
+                       mutation_rate=mutation_rate, seed=0)
+        rng, twin = random.Random(seed), random.Random(seed)
+        population = [
+            Individual(circuit, 0.0 if cull else fitness(circuit, target))
+            for circuit, cull in ((reference_ga.random_genome(twin, n, num_gates), cull) for cull in culled)
+        ]
+        rng.setstate(twin.getstate())
+        expected = population
+        for _ in range(3):
+            population = step_generation(population, target, rng, cfg)
+            expected = reference_ga.step_generation(expected, target, twin, cfg)
+            assert population == expected
+        assert rng.getstate() == twin.getstate()

@@ -18,6 +18,8 @@ from nandevolve.netlist import (
     export_dot,
     export_json,
     fitness,
+    genome_from_ids,
+    genome_ids,
     parse_json,
     prune_dead_gates,
     truth_table_of,
@@ -167,6 +169,12 @@ class TestValidity:
         with pytest.raises(StructureError, match=r"^gates\[1\]: expected a pair of sources, got "):
             NandGenome(2, ((x(0), x(1)), pair))
 
+    def test_rejects_gates_that_are_not_a_sequence(self):
+        with pytest.raises(StructureError, match=r"^gates: expected a sequence of gate pairs, got 5"):
+            NandGenome(2, 5)
+        with pytest.raises(StructureError, match=r"^gates\[0\]: expected a pair of sources, got 5"):
+            NandGenome(2, (5,))
+
     def test_rejects_bad_arity(self):
         with pytest.raises(StructureError, match=r"^num_inputs: "):
             NandGenome(0, ((x(0), x(0)),))
@@ -196,6 +204,28 @@ class TestValidity:
         with pytest.raises(FormatError) as parsed:
             parse_json(json.dumps(doc))
         assert str(parsed.value) == str(built.value)
+
+
+class TestAlleleIds:
+    @settings(max_examples=300, deadline=None)
+    @given(genomes(max_inputs=4))
+    def test_round_trip(self, circuit):
+        ids = genome_ids(circuit)
+        assert len(ids) == 2 * circuit.num_gates
+        assert genome_from_ids(circuit.num_inputs, ids) == circuit
+
+    def test_decodes_with_the_allele_table(self, xor_genome):
+        assert genome_from_ids(2, [0, 1, 0, 2, 1, 2, 3, 4]) == xor_genome
+
+    @pytest.mark.parametrize("ids", [[0], [0, 1, 2], [0, -1], [0, 3]])
+    def test_rejects_ids_outside_the_table(self, ids):
+        with pytest.raises(StructureError, match=r"^ids: "):
+            genome_from_ids(2, ids)
+
+    def test_forward_id_fails_in_the_constructor(self):
+        # id 3 is gate 1, which gate 1 cannot read
+        with pytest.raises(StructureError, match=r"gates\[1\]\[1\]: gate index 1 must be below 1"):
+            genome_from_ids(2, [0, 1, 0, 3])
 
 
 class TestPrune:

@@ -151,6 +151,11 @@ class TestMinimalGates:
         with pytest.raises(ValueError, match="^num_gates: "):
             query()
 
+    def test_rejects_bad_input_count(self):
+        for num_inputs in (0, 2.5, True):
+            with pytest.raises(ValueError, match="^num_inputs: "):
+                enumerate_genomes(num_inputs, 2)
+
 
 class TestCrossChecks:
     @pytest.mark.parametrize("name", ["and", "or", "nor", "xor", "xnor", "nand"])

@@ -256,7 +256,10 @@ def _entry_from_doc(doc, where: str) -> ExperimentEntry:
     if not isinstance(doc["target"], str):
         raise FormatError(f"{where}.target: expected a string")
     label = doc["target"].lower()
-    target = TruthTable.parse(label)
+    try:
+        target = TruthTable.parse(label)
+    except FormatError as exc:
+        raise FormatError(f"{where}.target: {exc}") from None
     optional = ("population_size", "mutation_rate", "runs", "base_seed", "max_generations")
     fields = {key: doc[key] for key in optional if key in doc}
     try:

@@ -13,7 +13,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .netlist import ArityError, NandGenome, TruthTable, genome_from_ids, genome_ids, input_masks
+from .netlist import ArityError, NandGenome, TruthTable, genome_from_ids, genome_ids, ids_output, input_masks
 
 # Seeds are unsigned 64-bit integers.
 SEED_LIMIT = 2**64
@@ -120,19 +120,14 @@ def _breed_ids(ids_a: list[int], ids_b: list[int], rng: random.Random,
 
 
 def _scorer(target: TruthTable) -> Callable[[list[int]], float]:
-    """fitness() on allele ids: `values` starts as the input masks and
-    gains one mask per gate, so an allele id indexes it directly."""
+    """fitness() on allele ids, through the same walk as output_mask."""
     rows = 1 << target.num_inputs
     full = (1 << rows) - 1
     wanted = target.mask
-    inputs = list(input_masks(target.num_inputs))
+    inputs = input_masks(target.num_inputs)
 
     def score(ids: list[int]) -> float:
-        values = inputs.copy()
-        pairs = iter(ids)
-        for a, b in zip(pairs, pairs):
-            values.append(~(values[a] & values[b]) & full)
-        return (rows - (values[-1] ^ wanted).bit_count()) / rows
+        return (rows - (ids_output(ids, inputs, full) ^ wanted).bit_count()) / rows
 
     return score
 

@@ -221,19 +221,25 @@ def input_masks(num_inputs: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+def ids_output(ids, inputs, full: int) -> int:
+    """Output of the circuit wired by allele ids `ids` (see sources) when
+    external input k carries inputs[k]: `values` starts as the inputs and
+    gains one value per gate, so an allele id indexes it directly. Values
+    are bitmasks over many assignments (full = 2^rows - 1) or single bits
+    (full = 1)."""
+    values = list(inputs)
+    pairs = iter(ids)
+    for a, b in zip(pairs, pairs):
+        values.append(~(values[a] & values[b]) & full)
+    return values[-1]
+
+
 def output_mask(genome: NandGenome) -> int:
     """Truth table of the genome's output gate, packed as an int bitmask."""
     n = genome.num_inputs
     if n > MAX_INPUTS:
         raise CapacityError(f"arity {n} exceeds the {MAX_INPUTS}-input limit")
-    masks = input_masks(n)
-    full = (1 << (1 << n)) - 1
-    values: list[int] = []
-    for a, b in genome.gates:
-        va = masks[a.index] if a.kind == EXTERNAL else values[a.index]
-        vb = masks[b.index] if b.kind == EXTERNAL else values[b.index]
-        values.append(~(va & vb) & full)
-    return values[-1]
+    return ids_output(genome_ids(genome), input_masks(n), (1 << (1 << n)) - 1)
 
 
 def evaluate(genome: NandGenome, assignment) -> int:
@@ -242,13 +248,7 @@ def evaluate(genome: NandGenome, assignment) -> int:
         raise ArityError(
             f"assignment has {len(assignment)} bits, genome expects {genome.num_inputs}"
         )
-    bits = [1 if v else 0 for v in assignment]
-    values: list[int] = []
-    for a, b in genome.gates:
-        va = bits[a.index] if a.kind == EXTERNAL else values[a.index]
-        vb = bits[b.index] if b.kind == EXTERNAL else values[b.index]
-        values.append(1 - (va & vb))
-    return values[-1]
+    return ids_output(genome_ids(genome), [1 if v else 0 for v in assignment], 1)
 
 
 def truth_table_of(genome: NandGenome) -> TruthTable:
@@ -271,28 +271,26 @@ def fitness(genome: NandGenome, target: TruthTable) -> float:
     return (rows - wrong) / rows
 
 
+def prune_ids(num_inputs: int, ids) -> list[int]:
+    """Allele ids of the gates reachable backward from the output gate, in
+    gene order and renumbered densely; the realized truth table is
+    unchanged. Feed-forward wiring lets one backward pass find them."""
+    n = num_inputs
+    live = {*range(n), n + len(ids) // 2 - 1}
+    for k in reversed(range(len(ids))):
+        if n + k // 2 in live:
+            live.add(ids[k])
+    new_id = {old: new for new, old in enumerate(sorted(live))}
+    return [new_id[a] for k, a in enumerate(ids) if n + k // 2 in live]
+
+
 def prune_dead_gates(genome: NandGenome) -> NandGenome:
     """Drop gates unreachable backward from the output gate, reindexed densely.
 
     The realized truth table is unchanged.
     """
-    live: set[int] = set()
-    stack = [genome.num_gates - 1]
-    while stack:
-        i = stack.pop()
-        if i in live:
-            continue
-        live.add(i)
-        for src in genome.gates[i]:
-            if src.kind == GATE:
-                stack.append(src.index)
-    order = sorted(live)
-    remap = {old: new for new, old in enumerate(order)}
-    gates = tuple(
-        tuple(src if src.kind == EXTERNAL else InputSource.gate(remap[src.index]) for src in genome.gates[old])
-        for old in order
-    )
-    return NandGenome(genome.num_inputs, gates)
+    n = genome.num_inputs
+    return genome_from_ids(n, prune_ids(n, genome_ids(genome)))
 
 
 def canonical_key(genome: NandGenome) -> bytes:
@@ -301,10 +299,11 @@ def canonical_key(genome: NandGenome) -> bytes:
     Equal keys <=> identical pruned netlists. Distinct keys say nothing
     about functional equivalence.
     """
-    pruned = prune_dead_gates(genome)
-    parts = [str(pruned.num_inputs)]
-    for a, b in pruned.gates:
-        parts.append(f"{a!r}.{b!r}")
+    n = genome.num_inputs
+    pruned = prune_ids(n, genome_ids(genome))
+    table = sources(n, n + len(pruned) // 2)
+    pairs = iter(pruned)
+    parts = [str(n), *(f"{table[a]!r}.{table[b]!r}" for a, b in zip(pairs, pairs))]
     return "|".join(parts).encode("ascii")
 
 

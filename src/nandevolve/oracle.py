@@ -16,9 +16,9 @@ from .netlist import (
     CapacityError,
     NandGenome,
     TruthTable,
-    canonical_key,
     genome_from_ids,
     input_masks,
+    prune_ids,
 )
 
 DEFAULT_BUDGET = 100_000_000
@@ -35,6 +35,7 @@ def genome_count(num_inputs: int, num_gates: int) -> int:
 def _check_budget(num_inputs: int, num_gates: int, budget: int):
     require_int("num_inputs", num_inputs, 1)
     require_int("num_gates", num_gates, 1)
+    require_int("budget", budget, 1)
     count = genome_count(num_inputs, num_gates)
     if count > budget:
         raise CapacityError(
@@ -118,17 +119,18 @@ class MinimalityResult:
 
 def _solve_level(target: TruthTable, num_gates: int) -> tuple[NandGenome | None, int, int]:
     """(first solution in enumeration order or None, raw count, canonical
-    count) of the genomes with exactly num_gates gates realizing target."""
+    count) of the genomes with exactly num_gates gates realizing target.
+    At a fixed arity, equal pruned id lists mean equal canonical_key bytes,
+    so only the witness is built as a NandGenome."""
     n = target.num_inputs
     witness = None
     raw = 0
     keys = set()
     for ids in _scan_solutions(n, num_gates, target.mask):
-        genome = genome_from_ids(n, ids)
         if witness is None:
-            witness = genome
+            witness = genome_from_ids(n, ids)
         raw += 1
-        keys.add(canonical_key(genome))
+        keys.add(tuple(prune_ids(n, ids)))
     return witness, raw, len(keys)
 
 

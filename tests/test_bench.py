@@ -224,7 +224,7 @@ class TestParseSpec:
             ('{"entries": [{"num_gates": 2}]}', "entries[0].target"),
             ('{"entries": [{"target": "and", "num_gates": 2, "runs": 0}]}', "entries[0].runs"),
             ('{"entries": [{"target": "and", "num_gates": 2, "mutation_rate": 2}]}', "mutation_rate"),
-            ('{"entries": [{"target": "blub", "num_gates": 2}]}', "blub"),
+            ('{"entries": [{"target": "blub", "num_gates": 2}]}', "entries[0].target: unknown target name"),
             ('{"entries": 5}', "entries"),
             ("[]", "entries"),
             ("{nope", "line 1"),

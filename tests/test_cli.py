@@ -166,6 +166,12 @@ class TestBench:
         assert code == 65
         assert "entries[0].num_gates" in err
 
+    def test_spec_target_over_the_arity_cap_is_budget_error(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"entries": [{"target": "tt:" + "0" * (1 << 17), "num_gates": 2}]}))
+        code, _, err = run_cli(capsys, "bench", "--spec", str(spec))
+        assert code == 3 and "17" in err
+
     def test_missing_spec_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "bench", "--spec", str(tmp_path / "nope.json"))
         assert code == 66
@@ -209,6 +215,10 @@ class TestOracle:
     def test_bad_max_gates_is_data_error(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--target", "and", "--max-gates", "0")
         assert code == 65 and "max_gates" in err
+
+    def test_bad_budget_is_data_error(self, capsys):
+        code, _, err = run_cli(capsys, "oracle", "--target", "and", "--max-gates", "2", "--budget", "0")
+        assert code == 65 and "budget: " in err
 
 
 class TestShow:

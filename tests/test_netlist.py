@@ -20,21 +20,24 @@ from nandevolve.netlist import (
     fitness,
     genome_from_ids,
     genome_ids,
+    output_mask,
     parse_json,
     prune_dead_gates,
     truth_table_of,
 )
 
+import reference_netlist
 from conftest import g, genome, genomes, random_valid_genome, x
 
 
 def brute_force_rows(circuit):
-    """Independent table builder: evaluate every assignment one at a time."""
+    """Independent table builder: the reference walk (tests/reference_netlist.py)
+    on every assignment, one at a time."""
     n = circuit.num_inputs
     rows = []
     for i in range(1 << n):
         assignment = [(i >> k) & 1 for k in range(n)]
-        rows.append(str(evaluate(circuit, assignment)))
+        rows.append(str(reference_netlist.evaluate(circuit, assignment)))
     return "".join(rows)
 
 
@@ -58,6 +61,12 @@ class TestNandSemantics:
         nand = genome(2, (x(0), x(1)))
         with pytest.raises(ArityError):
             evaluate(nand, (1,))
+
+    def test_evaluates_beyond_the_table_cap(self):
+        # 17 inputs is past MAX_INPUTS for tables, not for one assignment
+        wide = NandGenome(17, ((x(0), x(16)), (g(0), x(5))))
+        assert evaluate(wide, [1] * 17) == 1
+        assert evaluate(wide, [0] * 5 + [1] + [0] * 11) == 0
 
 
 class TestTruthTable:
@@ -226,6 +235,25 @@ class TestAlleleIds:
         # id 3 is gate 1, which gate 1 cannot read
         with pytest.raises(StructureError, match=r"gates\[1\]\[1\]: gate index 1 must be below 1"):
             genome_from_ids(2, [0, 1, 0, 3])
+
+
+# The id-level walk and prune must agree with the object-level reference
+# (tests/reference_netlist.py), which they replaced.
+class TestMatchesReference:
+    @settings(max_examples=1000, deadline=None)
+    @given(genomes(max_inputs=4))
+    def test_output_mask_matches_every_assignment(self, circuit):
+        mask = output_mask(circuit)
+        for i in range(1 << circuit.num_inputs):
+            assignment = [(i >> k) & 1 for k in range(circuit.num_inputs)]
+            assert (mask >> i) & 1 == reference_netlist.evaluate(circuit, assignment)
+            assert evaluate(circuit, assignment) == reference_netlist.evaluate(circuit, assignment)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(genomes(max_inputs=4))
+    def test_prune_and_key_match(self, circuit):
+        assert prune_dead_gates(circuit) == reference_netlist.prune_dead_gates(circuit)
+        assert canonical_key(circuit) == reference_netlist.canonical_key(circuit)
 
 
 class TestPrune:

@@ -3,18 +3,21 @@ import pytest
 from nandevolve.evolve import GaConfig, run_evolution
 from nandevolve.netlist import (
     CapacityError,
+    NandGenome,
     TruthTable,
     canonical_key,
     prune_dead_gates,
     truth_table_of,
 )
 from nandevolve.oracle import (
+    SolutionCount,
     count_solutions,
     enumerate_genomes,
     genome_count,
     minimal_gates,
 )
 
+import reference_netlist
 from conftest import g, genome, x
 
 
@@ -93,7 +96,7 @@ class TestCountSolutions:
         found = solutions_by_filtering(target, gates)
         result = count_solutions(target, gates)
         assert result.raw == len(found)
-        assert result.canonical == len({canonical_key(circuit) for circuit in found})
+        assert result.canonical == len({reference_netlist.canonical_key(circuit) for circuit in found})
         # levels below `gates` are checked by their own parameters
         minimal = minimal_gates(target, gates)
         if minimal.minimal_gates == gates:
@@ -139,22 +142,54 @@ class TestMinimalGates:
                 minimal_gates(TruthTable.named("and"), max_gates)
 
     @pytest.mark.parametrize(
-        "query",
+        "query,field",
         [
-            lambda: count_solutions(TruthTable.named("and"), 0),
-            lambda: count_solutions(TruthTable.named("and"), 2.5),
-            lambda: enumerate_genomes(2, 0),
+            (lambda: count_solutions(TruthTable.named("and"), 0), "num_gates"),
+            (lambda: count_solutions(TruthTable.named("and"), 2.5), "num_gates"),
+            (lambda: enumerate_genomes(2, 0), "num_gates"),
+            (lambda: count_solutions(TruthTable.named("and"), 3, budget=None), "budget"),
+            (lambda: count_solutions(TruthTable.named("and"), 3, budget="x"), "budget"),
+            (lambda: count_solutions(TruthTable.named("and"), 3, budget=True), "budget"),
+            (lambda: count_solutions(TruthTable.named("and"), 3, budget=2.5), "budget"),
+            (lambda: minimal_gates(TruthTable.named("and"), 3, budget=0), "budget"),
+            (lambda: enumerate_genomes(2, 1, budget=None), "budget"),
         ],
-        ids=["count-0", "count-2.5", "enumerate-0"],
+        ids=["count-0", "count-2.5", "enumerate-0", "budget-None", "budget-x", "budget-True",
+             "budget-2.5", "minimal-budget-0", "enumerate-budget-None"],
     )
-    def test_rejects_bad_gate_count(self, query):
-        with pytest.raises(ValueError, match="^num_gates: "):
+    def test_rejects_bad_gate_count(self, query, field):
+        with pytest.raises(ValueError, match=f"^{field}: "):
             query()
 
     def test_rejects_bad_input_count(self):
         for num_inputs in (0, 2.5, True):
             with pytest.raises(ValueError, match="^num_inputs: "):
                 enumerate_genomes(num_inputs, 2)
+
+
+class TestBuildsOnlyTheWitness:
+    @pytest.fixture
+    def inits(self, monkeypatch):
+        calls = []
+        original = NandGenome.__init__
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(NandGenome, "__init__", spy)
+        return calls
+
+    def test_count_solutions(self, inits):
+        # one level, 800 matching genomes; only the witness is built
+        assert count_solutions(TruthTable.parse("tt:00000111"), 4) == SolutionCount(800, 16)
+        assert len(inits) <= 1
+
+    def test_minimal_gates(self, inits):
+        result = minimal_gates(TruthTable.named("xor"), 5)
+        assert len(inits) <= result.minimal_gates == 4
+        assert result.witness == genome(2, (x(0), x(1)), (x(0), g(0)), (x(1), g(0)), (g(1), g(2)))
+        assert (result.raw_count, result.canonical_count) == (32, 32)
 
 
 class TestCrossChecks:
@@ -176,9 +211,10 @@ class TestCrossChecks:
         assert out.solved
         assert truth_table_of(out.genome) == target
         # the pruned GA solution appears among the oracle's enumerated ones
-        pruned = prune_dead_gates(out.genome)
+        pruned = reference_netlist.prune_dead_gates(out.genome)
         keys = {
-            canonical_key(circuit)
+            reference_netlist.canonical_key(circuit)
             for circuit in solutions_by_filtering(target, pruned.num_gates)
         }
-        assert canonical_key(out.genome) in keys
+        assert reference_netlist.canonical_key(out.genome) in keys
+        assert canonical_key(out.genome) == reference_netlist.canonical_key(out.genome)

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .evolve import SEED_LIMIT, GaConfig, require_int, run_evolution
 from .netlist import FormatError, NandGenome, TruthTable, canonical_key
@@ -57,12 +57,16 @@ class ExperimentEntry:
     def config_for_run(self, run_index: int) -> GaConfig:
         return GaConfig(
             num_gates=self.num_gates,
-            num_inputs=self.target.num_inputs,
             population_size=self.population_size,
             mutation_rate=self.mutation_rate,
             max_generations=self.max_generations,
             seed=self.base_seed + run_index,
         )
+
+
+# The keys of a spec-file entry: every ExperimentEntry field but the label,
+# which is the target text.
+_SPEC_FIELDS = tuple(f.name for f in fields(ExperimentEntry) if f.name != "label")
 
 
 @dataclass(frozen=True)
@@ -250,6 +254,9 @@ def to_svg(report: ExperimentReport) -> str:
 def _entry_from_doc(doc, where: str) -> ExperimentEntry:
     if not isinstance(doc, dict):
         raise FormatError(f"{where}: expected an object")
+    for key in doc:
+        if key not in _SPEC_FIELDS:
+            raise FormatError(f"{where}.{key}: unknown field (expected one of {', '.join(_SPEC_FIELDS)})")
     for field in ("target", "num_gates"):
         if field not in doc:
             raise FormatError(f"{where}.{field}: required")
@@ -260,10 +267,9 @@ def _entry_from_doc(doc, where: str) -> ExperimentEntry:
         target = TruthTable.parse(label)
     except FormatError as exc:
         raise FormatError(f"{where}.target: {exc}") from None
-    optional = ("population_size", "mutation_rate", "runs", "base_seed", "max_generations")
-    fields = {key: doc[key] for key in optional if key in doc}
+    values = {key: value for key, value in doc.items() if key != "target"}
     try:
-        return ExperimentEntry(label=label, target=target, num_gates=doc["num_gates"], **fields)
+        return ExperimentEntry(label=label, target=target, **values)
     except ValueError as exc:
         raise FormatError(f"{where}.{exc}") from None
 

@@ -24,7 +24,6 @@ from .bench import (
 )
 from .evolve import GaConfig, run_evolution
 from .netlist import (
-    ArityError,
     CapacityError,
     FormatError,
     StructureError,
@@ -61,6 +60,16 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
+# bench flags that set one ExperimentEntry field of every --paper-defaults
+# entry: (flag, field, type, help text)
+_TUNING_FLAGS = (
+    ("--runs", "runs", int, "runs per target"),
+    ("--pop", "population_size", int, "population size"),
+    ("--mutation", "mutation_rate", float, "mutation rate"),
+    ("--max-gen", "max_generations", int, "generation cap"),
+)
+
+
 def _target_flag(parser):
     parser.add_argument(
         "--target",
@@ -78,7 +87,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evolve", help="evolve one circuit for a target")
     _target_flag(p)
     p.add_argument("--gates", type=int, help="NAND gates per genome")
-    p.add_argument("--inputs", type=int, help="external inputs (must match the target's arity)")
     p.add_argument("--pop", type=int, default=GaConfig.population_size,
                    help="population size (default %(default)s)")
     p.add_argument("--mutation", type=float, default=GaConfig.mutation_rate,
@@ -101,14 +109,9 @@ def build_parser() -> _Parser:
                      help="the five standard targets at their minimal gate counts")
     p.add_argument("--seed", type=int, default=None,
                    help="base seed (run i uses base+i); overrides spec-file seeds")
-    p.add_argument("--runs", type=int, default=ExperimentEntry.runs,
-                   help="runs per target with --paper-defaults (default %(default)s)")
-    p.add_argument("--pop", type=int, default=GaConfig.population_size,
-                   help="population size with --paper-defaults (default %(default)s)")
-    p.add_argument("--mutation", type=float, default=GaConfig.mutation_rate,
-                   help="mutation rate with --paper-defaults (default %(default)s)")
-    p.add_argument("--max-gen", type=int, default=GaConfig.max_generations,
-                   help="generation cap with --paper-defaults (default %(default)s)")
+    for flag, field, kind, what in _TUNING_FLAGS:
+        p.add_argument(flag, dest=field, type=kind, metavar=flag[2:].upper().replace("-", "_"),
+                       help=f"{what} with --paper-defaults (default {getattr(ExperimentEntry, field)})")
     p.add_argument("--out", metavar="PATH", help="write CSV here (default: stdout)")
     p.add_argument("--plot", metavar="PATH", help="write an SVG bar chart of mean generations")
     p.set_defaults(func=cmd_bench)
@@ -137,13 +140,8 @@ def cmd_evolve(args) -> int:
             gates = DEFAULT_GATES[label]
         else:
             raise _UsageError("--gates is required (or use --paper-defaults with a named target)")
-    if args.inputs is not None and args.inputs != target.num_inputs:
-        raise ArityError(
-            f"--inputs {args.inputs} does not match the target's arity {target.num_inputs}"
-        )
     config = GaConfig(
         num_gates=gates,
-        num_inputs=target.num_inputs,
         population_size=args.pop,
         mutation_rate=args.mutation,
         max_generations=args.max_gen,
@@ -172,16 +170,15 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    given = [(flag, field) for flag, field, _, _ in _TUNING_FLAGS if getattr(args, field) is not None]
     if args.spec:
+        if given:
+            flags = ", ".join(flag for flag, _ in given)
+            raise _UsageError(f"{flags}: only with --paper-defaults (a spec file sets these per entry)")
         with open(args.spec) as fh:
             spec = parse_spec(fh.read())
     else:
-        spec = default_experiment_spec(
-            runs=args.runs,
-            population_size=args.pop,
-            mutation_rate=args.mutation,
-            max_generations=args.max_gen,
-        )
+        spec = default_experiment_spec(**{field: getattr(args, field) for _, field in given})
     if args.seed is not None:
         spec = with_base_seed(spec, args.seed)
     report = run_experiment(spec)
@@ -230,7 +227,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"{parser.prog}: budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (FormatError, StructureError, ArityError, ValueError) as exc:
+    except (FormatError, StructureError, ValueError) as exc:
         print(f"{parser.prog}: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

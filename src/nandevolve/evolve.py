@@ -10,10 +10,9 @@ member realizes the target exactly.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
 from dataclasses import dataclass
 
-from .netlist import ArityError, NandGenome, TruthTable, genome_from_ids, genome_ids, ids_output, input_masks
+from .netlist import ArityError, NandGenome, TruthTable, gene_sizes, genome_from_ids, genome_ids, scorer
 
 # Seeds are unsigned 64-bit integers.
 SEED_LIMIT = 2**64
@@ -38,11 +37,11 @@ def require_rate(name: str, value) -> float:
 
 @dataclass(frozen=True)
 class GaConfig:
-    """All knobs of one evolution run. Defaults: population 10, mutation
-    0.10, so each gene has a 45% chance of coming from either parent."""
+    """All knobs of one evolution run; the number of circuit inputs is the
+    target's. Defaults: population 10, mutation 0.10, so each gene has a
+    45% chance of coming from either parent."""
 
     num_gates: int
-    num_inputs: int = 2
     population_size: int = 10
     mutation_rate: float = 0.10
     max_generations: int = 100_000
@@ -50,7 +49,6 @@ class GaConfig:
 
     def __post_init__(self):
         require_int("num_gates", self.num_gates, 1)
-        require_int("num_inputs", self.num_inputs, 1)
         require_int("population_size", self.population_size, 2)
         object.__setattr__(self, "mutation_rate", require_rate("mutation_rate", self.mutation_rate))
         require_int("max_generations", self.max_generations, 0)
@@ -95,12 +93,6 @@ class RunOutcome:
     trace: tuple[GenPoint, ...] | None = None
 
 
-def _gene_sizes(num_inputs: int, num_gates: int) -> tuple[int, ...]:
-    """Allele-space size of every gene, in gene order: both genes of gate i
-    range over the num_inputs + i ids below it."""
-    return tuple(num_inputs + i for i in range(num_gates) for _ in range(2))
-
-
 def _random_ids(rng: random.Random, sizes: tuple[int, ...]) -> list[int]:
     """Fresh genome as allele ids: one uniform randrange per gene."""
     randrange = rng.randrange
@@ -119,19 +111,6 @@ def _breed_ids(ids_a: list[int], ids_b: list[int], rng: random.Random,
     ]
 
 
-def _scorer(target: TruthTable) -> Callable[[list[int]], float]:
-    """fitness() on allele ids, through the same walk as output_mask."""
-    rows = 1 << target.num_inputs
-    full = (1 << rows) - 1
-    wanted = target.mask
-    inputs = input_masks(target.num_inputs)
-
-    def score(ids: list[int]) -> float:
-        return (rows - (ids_output(ids, inputs, full) ^ wanted).bit_count()) / rows
-
-    return score
-
-
 def _next_generation(population: list[list[int]], fits: list[float], rng: random.Random,
                      sizes: tuple[int, ...], split: float, size: int) -> list[list[int]]:
     """Children of one generational replacement (see step_generation)."""
@@ -142,16 +121,11 @@ def _next_generation(population: list[list[int]], fits: list[float], rng: random
     return [_breed_ids(pool[randrange(k)], pool[randrange(k)], rng, sizes, split) for _ in range(size)]
 
 
-def _check_arity(config: GaConfig, target: TruthTable) -> None:
-    if target.num_inputs != config.num_inputs:
-        raise ArityError(
-            f"target has {target.num_inputs} inputs, config expects {config.num_inputs}"
-        )
-
-
 def random_genome(rng: random.Random, num_inputs: int, num_gates: int) -> NandGenome:
     """Genome with every gene drawn uniformly and independently."""
-    return genome_from_ids(num_inputs, _random_ids(rng, _gene_sizes(num_inputs, num_gates)))
+    require_int("num_inputs", num_inputs, 1)
+    require_int("num_gates", num_gates, 1)
+    return genome_from_ids(num_inputs, _random_ids(rng, gene_sizes(num_inputs, num_gates)))
 
 
 def breed(parent_a: NandGenome, parent_b: NandGenome, rng: random.Random,
@@ -159,11 +133,12 @@ def breed(parent_a: NandGenome, parent_b: NandGenome, rng: random.Random,
     """Child genome: per gene, parent_a's allele with probability
     (1-mutation_rate)/2, parent_b's with the same, otherwise a fresh uniform
     draw from that position's full allele space."""
+    split = (1.0 - require_rate("mutation_rate", mutation_rate)) / 2.0
     if parent_a.num_inputs != parent_b.num_inputs or parent_a.num_gates != parent_b.num_gates:
         raise ArityError("parents must agree on num_inputs and num_gates")
     n = parent_a.num_inputs
     child = _breed_ids(genome_ids(parent_a), genome_ids(parent_b), rng,
-                       _gene_sizes(n, parent_a.num_gates), (1.0 - mutation_rate) / 2.0)
+                       gene_sizes(n, parent_a.num_gates), split)
     return genome_from_ids(n, child)
 
 
@@ -176,16 +151,15 @@ def step_generation(population: list[Individual], target: TruthTable,
     pool. If the whole population has zero fitness the population is
     reinitialized randomly instead. Output size always equals the input size.
     """
-    _check_arity(config, target)
-    n, num_gates = config.num_inputs, config.num_gates
+    n, num_gates = target.num_inputs, config.num_gates
     for ind in population:
         if ind.fitness > 0.0 and (ind.genome.num_inputs != n or ind.genome.num_gates != num_gates):
             raise ArityError(f"breeding members must have {n} inputs and {num_gates} gates")
     children = _next_generation(
         [genome_ids(ind.genome) for ind in population], [ind.fitness for ind in population],
-        rng, _gene_sizes(n, num_gates), config.crossover_split, config.population_size,
+        rng, gene_sizes(n, num_gates), config.crossover_split, config.population_size,
     )
-    score = _scorer(target)
+    score = scorer(target)
     return [Individual(genome_from_ids(n, ids), score(ids)) for ids in children]
 
 
@@ -198,11 +172,10 @@ def run_evolution(config: GaConfig, target: TruthTable, trace: bool = False) -> 
     bit-identical outcome, trace included. Members are allele-id lists (see
     netlist.sources); only the genomes returned are built as NandGenome.
     """
-    _check_arity(config, target)
-    n, size = config.num_inputs, config.population_size
-    sizes = _gene_sizes(n, config.num_gates)
+    n, size = target.num_inputs, config.population_size
+    sizes = gene_sizes(n, config.num_gates)
     split = config.crossover_split
-    score = _scorer(target)
+    score = scorer(target)
     rng = random.Random(config.seed)
     population = [_random_ids(rng, sizes) for _ in range(size)]
     points: list[GenPoint] | None = [] if trace else None

@@ -9,6 +9,7 @@ output of the whole circuit is the output of the last gate.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -119,10 +120,17 @@ class NandGenome:
         return len(self.gates)
 
 
+def gene_sizes(num_inputs: int, num_gates: int) -> tuple[int, ...]:
+    """Allele-space size of every gene, in gene order: both genes of gate i
+    range over the num_inputs + i ids below it (see sources)."""
+    return tuple(num_inputs + i for i in range(num_gates) for _ in range(2))
+
+
 def genome_from_ids(num_inputs: int, ids) -> NandGenome:
     """Genome whose gate i is wired from allele ids ids[2i] and ids[2i+1]
     (see sources); NandGenome checks the feed-forward rule. num_inputs must
-    already be an int >= 1, as GaConfig and the oracle check it."""
+    already be an int >= 1, as TruthTable, random_genome and the oracle
+    check it."""
     count = num_inputs + len(ids) // 2
     if len(ids) % 2 or (ids and not 0 <= min(ids) <= max(ids) < count):
         raise StructureError(f"ids: expected pairs of allele ids in [0, {count}), got {ids!r}")
@@ -234,6 +242,20 @@ def ids_output(ids, inputs, full: int) -> int:
     return values[-1]
 
 
+def scorer(target: TruthTable) -> Callable[[list[int]], float]:
+    """fitness() on the allele ids of a genome with target.num_inputs
+    inputs: (rows - wrong rows) / rows."""
+    rows = 1 << target.num_inputs
+    full = (1 << rows) - 1
+    wanted = target.mask
+    inputs = input_masks(target.num_inputs)
+
+    def score(ids) -> float:
+        return (rows - (ids_output(ids, inputs, full) ^ wanted).bit_count()) / rows
+
+    return score
+
+
 def output_mask(genome: NandGenome) -> int:
     """Truth table of the genome's output gate, packed as an int bitmask."""
     n = genome.num_inputs
@@ -266,9 +288,7 @@ def fitness(genome: NandGenome, target: TruthTable) -> float:
         raise ArityError(
             f"genome has {genome.num_inputs} inputs, target has {target.num_inputs}"
         )
-    rows = 1 << genome.num_inputs
-    wrong = (output_mask(genome) ^ target.mask).bit_count()
-    return (rows - wrong) / rows
+    return scorer(target)(genome_ids(genome))
 
 
 def prune_ids(num_inputs: int, ids) -> list[int]:

@@ -8,6 +8,7 @@ count its solutions, and independently verify GA results.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -16,6 +17,7 @@ from .netlist import (
     CapacityError,
     NandGenome,
     TruthTable,
+    gene_sizes,
     genome_from_ids,
     input_masks,
     prune_ids,
@@ -26,10 +28,7 @@ DEFAULT_BUDGET = 100_000_000
 
 def genome_count(num_inputs: int, num_gates: int) -> int:
     """Closed-form size of the genome space: prod_i (n+i)^2."""
-    count = 1
-    for i in range(num_gates):
-        count *= (num_inputs + i) ** 2
-    return count
+    return math.prod(gene_sizes(num_inputs, num_gates))
 
 
 def _check_budget(num_inputs: int, num_gates: int, budget: int):
@@ -51,15 +50,8 @@ def enumerate_genomes(num_inputs: int, num_gates: int,
     never truncates silently.
     """
     _check_budget(num_inputs, num_gates, budget)
-    ranges = []
-    for i in range(num_gates):
-        ranges.extend((range(num_inputs + i), range(num_inputs + i)))
-
-    def generate():
-        for ids in itertools.product(*ranges):
-            yield genome_from_ids(num_inputs, ids)
-
-    return generate()
+    return (genome_from_ids(num_inputs, ids)
+            for ids in itertools.product(*map(range, gene_sizes(num_inputs, num_gates))))
 
 
 def _scan_solutions(num_inputs: int, num_gates: int, target_mask: int) -> Iterator[tuple[int, ...]]:

@@ -61,7 +61,7 @@ def _evaluated(genome: NandGenome, target: TruthTable) -> Individual:
 
 def _fresh_population(rng: random.Random, target: TruthTable, config: GaConfig) -> list[Individual]:
     return [
-        _evaluated(random_genome(rng, config.num_inputs, config.num_gates), target)
+        _evaluated(random_genome(rng, target.num_inputs, config.num_gates), target)
         for _ in range(config.population_size)
     ]
 
@@ -95,10 +95,6 @@ def run_evolution(config: GaConfig, target: TruthTable, trace: bool = False) -> 
     comes from one stream seeded with config.seed; identical inputs give a
     bit-identical outcome, trace included.
     """
-    if target.num_inputs != config.num_inputs:
-        raise ArityError(
-            f"target has {target.num_inputs} inputs, config expects {config.num_inputs}"
-        )
     rng = random.Random(config.seed)
     population = _fresh_population(rng, target, config)
     points: list[GenPoint] | None = [] if trace else None

@@ -234,6 +234,8 @@ class TestParseSpec:
             ('{"entries": [{"target": "and", "num_gates": 2, "mutation_rate": true}]}', "mutation_rate"),
             ('{"entries": [{"target": "and", "num_gates": 2, "runs": 3, "base_seed": 18446744073709551614}]}',
              "entries[0].base_seed"),
+            ('{"entries": [{"target": "and", "num_gates": 2, "popualtion_size": 50}]}',
+             "entries[0].popualtion_size: unknown field"),
         ],
     )
     def test_field_level_diagnostics(self, text, fragment):

@@ -89,10 +89,6 @@ class TestEvolve:
         code, _, _ = run_cli(capsys, "evolve", "--target", "tt:011", "--gates", "2")
         assert code == 65
 
-    def test_inputs_mismatch_is_data_error(self, capsys):
-        code, _, _ = run_cli(capsys, "evolve", "--target", "and", "--gates", "2", "--inputs", "3")
-        assert code == 65
-
     def test_unknown_flag_exits_64(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["evolve", "--bogus"])
@@ -116,10 +112,13 @@ class TestBench:
         assert kinds.count("summary") == 5
 
     def test_same_command_same_bytes(self, capsys, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
         run_cli(capsys, "bench", "--paper-defaults", "--seed", "42", "--runs", "2", "--out", str(a))
         run_cli(capsys, "bench", "--paper-defaults", "--seed", "42", "--runs", "2", "--out", str(b))
-        assert a.read_bytes() == b.read_bytes()
+        # the tuning flags spelled out at their defaults change nothing
+        run_cli(capsys, "bench", "--paper-defaults", "--seed", "42", "--runs", "2", "--pop", "10",
+                "--mutation", "0.1", "--max-gen", "100000", "--out", str(c))
+        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
     def test_csv_to_stdout_and_plot(self, capsys, tmp_path):
         plot = tmp_path / "chart.svg"
@@ -150,6 +149,24 @@ class TestBench:
         _, out, _ = run_cli(capsys, "bench", "--spec", str(spec), "--seed", "500")
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["seed"] for r in rows if r["kind"] == "run"] == ["500", "501"]
+
+    @pytest.mark.parametrize("flag, value", [("--runs", "5"), ("--pop", "50"), ("--mutation", "0.2"),
+                                             ("--max-gen", "7")])
+    def test_tuning_flag_with_spec_is_usage_error(self, capsys, monkeypatch, tmp_path, flag, value):
+        calls = []
+        monkeypatch.setattr(bench, "run_evolution", lambda *args: calls.append(args))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"entries": [{"target": "and", "num_gates": 2, "runs": 2}]}))
+        code, out, err = run_cli(capsys, "bench", "--spec", str(spec), flag, value)
+        assert code == 64 and flag in err and "--paper-defaults" in err
+        assert out == "" and calls == []
+
+    def test_unknown_spec_field_is_data_error(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"entries": [{"target": "and", "num_gates": 2, "popualtion_size": 50}]}))
+        code, out, err = run_cli(capsys, "bench", "--spec", str(spec))
+        assert code == 65 and "entries[0].popualtion_size: unknown field" in err
+        assert out == ""
 
     def test_bad_last_seed_fails_before_any_run(self, capsys, monkeypatch):
         calls = []

@@ -58,7 +58,6 @@ class TestGaConfig:
         "kwargs",
         [
             {"num_gates": 0},
-            {"num_gates": 2, "num_inputs": 0},
             {"num_gates": 2, "population_size": 1},
             {"num_gates": 2, "mutation_rate": -0.1},
             {"num_gates": 2, "mutation_rate": 1.5},
@@ -122,6 +121,18 @@ class TestRandomGenome:
             assert a == b
             assert_feed_forward(a)
 
+    @pytest.mark.parametrize(
+        "num_inputs, num_gates, field",
+        [(0, 3, "num_inputs"), (2.5, 2, "num_inputs"), (True, 2, "num_inputs"),
+         (2, 0, "num_gates"), (2, 1.5, "num_gates"), (2, None, "num_gates")],
+    )
+    def test_rejects_bad_shape_before_drawing(self, num_inputs, num_gates, field):
+        rng = random.Random(4)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=f"^{field}: expected an integer >= 1"):
+            random_genome(rng, num_inputs, num_gates)
+        assert rng.getstate() == state
+
 
 class TestBreed:
     def test_identical_parents_no_mutation(self):
@@ -177,6 +188,15 @@ class TestBreed:
             breed(random_genome(rng, 2, 2), random_genome(rng, 2, 3), rng)
         with pytest.raises(ArityError):
             breed(random_genome(rng, 2, 2), random_genome(rng, 3, 2), rng)
+
+    @pytest.mark.parametrize("mutation_rate", [2.0, -1.0, "x", None, True])
+    def test_rejects_bad_rate_before_drawing(self, mutation_rate):
+        rng = random.Random(6)
+        parent = random_genome(rng, 2, 3)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=r"^mutation_rate: expected a number in \[0, 1\]"):
+            breed(parent, parent, rng, mutation_rate)
+        assert rng.getstate() == state
 
 
 def evaluated(circuit, target):
@@ -252,9 +272,12 @@ class TestRunEvolution:
         assert out.best.fitness == 1.0
         assert truth_table_of(out.genome) == target
 
-    def test_arity_mismatch(self):
-        with pytest.raises(ArityError):
-            run_evolution(GaConfig(num_gates=2, num_inputs=2), TruthTable(3, "01101001"))
+    def test_arity_comes_from_the_target(self):
+        # a default GaConfig runs on a 3-input target (parity3 needs 8 gates)
+        target = TruthTable(3, "01101001")
+        out = run_evolution(GaConfig(num_gates=8, seed=1, max_generations=5), target)
+        assert out.best.genome.num_inputs == 3 and out.best.genome.num_gates == 8
+        assert out.best.fitness == fitness(out.best.genome, target)
 
     def test_seed_determinism_including_trace(self):
         cfg = GaConfig(num_gates=4, seed=77)
@@ -344,9 +367,8 @@ class TestMatchesReference:
            seed=seeds, trace=st.booleans())
     def test_run_evolution(self, target, num_gates, population_size, mutation_rate,
                            max_generations, seed, trace):
-        cfg = GaConfig(num_gates=num_gates, num_inputs=target.num_inputs,
-                       population_size=population_size, mutation_rate=mutation_rate,
-                       max_generations=max_generations, seed=seed)
+        cfg = GaConfig(num_gates=num_gates, population_size=population_size,
+                       mutation_rate=mutation_rate, max_generations=max_generations, seed=seed)
         assert run_evolution(cfg, target, trace) == reference_ga.run_evolution(cfg, target, trace)
 
     @settings(max_examples=100, deadline=None)
@@ -375,7 +397,7 @@ class TestMatchesReference:
     def test_step_generation(self, seed, target, num_gates, mutation_rate, culled):
         # culled members get fitness 0, so small and empty breeding pools occur
         n = target.num_inputs
-        cfg = GaConfig(num_gates=num_gates, num_inputs=n, population_size=len(culled),
+        cfg = GaConfig(num_gates=num_gates, population_size=len(culled),
                        mutation_rate=mutation_rate, seed=0)
         rng, twin = random.Random(seed), random.Random(seed)
         population = [

@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nandevolve.netlist import (
     ArityError,
@@ -248,6 +249,15 @@ class TestMatchesReference:
             assignment = [(i >> k) & 1 for k in range(circuit.num_inputs)]
             assert (mask >> i) & 1 == reference_netlist.evaluate(circuit, assignment)
             assert evaluate(circuit, assignment) == reference_netlist.evaluate(circuit, assignment)
+
+    @settings(max_examples=500, deadline=None)
+    @given(genomes(max_inputs=4), st.data())
+    def test_fitness_counts_matching_rows(self, circuit, data):
+        # the score formula (netlist.scorer) against the reference walk, row by row
+        n = circuit.num_inputs
+        target = TruthTable.from_mask(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
+        agree = sum(r == t for r, t in zip(brute_force_rows(circuit), target.rows))
+        assert fitness(circuit, target) == agree / (1 << n)
 
     @settings(max_examples=1000, deadline=None)
     @given(genomes(max_inputs=4))

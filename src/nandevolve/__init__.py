@@ -21,7 +21,7 @@ from .netlist import (
 )
 from .evolve import GaConfig, Individual, RunOutcome, breed, random_genome, run_evolution
 from .oracle import MinimalityResult, SolutionCount, count_solutions, enumerate_genomes, minimal_gates
-from .bench import ExperimentEntry, ExperimentReport, ExperimentSpec, default_experiment_spec, run_experiment
+from .bench import ExperimentEntry, default_experiment_spec, run_experiment
 
 __all__ = [
     "ArityError",
@@ -52,8 +52,6 @@ __all__ = [
     "enumerate_genomes",
     "minimal_gates",
     "ExperimentEntry",
-    "ExperimentReport",
-    "ExperimentSpec",
     "default_experiment_spec",
     "run_experiment",
 ]

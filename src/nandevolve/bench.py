@@ -70,11 +70,6 @@ _SPEC_FIELDS = tuple(f.name for f in fields(ExperimentEntry) if f.name != "label
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
-    entries: tuple[ExperimentEntry, ...]
-
-
-@dataclass(frozen=True)
 class RunRecord:
     run_index: int
     seed: int
@@ -100,20 +95,15 @@ class EntryReport:
     distinct_solution_count: int
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    entries: tuple[EntryReport, ...]
-
-
-def default_experiment_spec(**fields) -> ExperimentSpec:
+def default_experiment_spec(**fields) -> tuple[ExperimentEntry, ...]:
     """The default five-target experiment: each two-input function at its
     minimal gate count. `fields` (population_size, mutation_rate, runs,
     base_seed, max_generations) go to every ExperimentEntry unchanged."""
-    return ExperimentSpec(tuple(
+    return tuple(
         ExperimentEntry(label=name, target=TruthTable.named(name),
                         num_gates=DEFAULT_GATES[name], **fields)
         for name in DEFAULT_TARGET_ORDER
-    ))
+    )
 
 
 def run_entry(entry: ExperimentEntry) -> EntryReport:
@@ -146,16 +136,16 @@ def run_entry(entry: ExperimentEntry) -> EntryReport:
     )
 
 
-def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    """Execute every entry; deterministic for a given spec."""
-    return ExperimentReport(tuple(run_entry(entry) for entry in spec.entries))
+def run_experiment(entries: tuple[ExperimentEntry, ...]) -> tuple[EntryReport, ...]:
+    """Execute every entry; deterministic for given entries."""
+    return tuple(run_entry(entry) for entry in entries)
 
 
 def _num(value) -> str:
     return "" if value is None else str(value)
 
 
-def to_csv(report: ExperimentReport) -> str:
+def to_csv(reports: tuple[EntryReport, ...]) -> str:
     """One row per run plus one summary row per entry; header mandatory.
 
     Summary-only columns are empty on run rows and vice versa; lines end
@@ -164,7 +154,7 @@ def to_csv(report: ExperimentReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for er in report.entries:
+    for er in reports:
         e = er.entry
         shared = [e.label, str(e.num_gates), str(e.population_size), str(e.mutation_rate)]
         for r in er.runs:
@@ -182,14 +172,14 @@ def to_csv(report: ExperimentReport) -> str:
     return buf.getvalue()
 
 
-def to_table(report: ExperimentReport) -> str:
+def to_table(reports: tuple[EntryReport, ...]) -> str:
     """Plain aligned summary table, one line per entry."""
     header = (
         f"{'target':<10} {'gates':>5} {'pop':>4} {'runs':>4} {'solved':>6} "
         f"{'mean':>9} {'median':>9} {'stddev':>9} {'min':>6} {'max':>6} {'distinct':>8}"
     )
     lines = [header, "-" * len(header)]
-    for er in report.entries:
+    for er in reports:
         e = er.entry
 
         def f(v, width=9):
@@ -203,17 +193,16 @@ def to_table(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_svg(report: ExperimentReport) -> str:
+def to_svg(reports: tuple[EntryReport, ...]) -> str:
     """Bar chart of mean generations per entry with stddev whiskers.
 
-    Hand-rolled SVG so output bytes depend only on the report.
+    Hand-rolled SVG so output bytes depend only on the reports.
     """
     bar_w, gap, left, bottom, height = 60, 30, 60, 40, 260
     plot_h = height - bottom - 20
-    entries = report.entries
-    width = left + len(entries) * (bar_w + gap) + gap
+    width = left + len(reports) * (bar_w + gap) + gap
     peak = max(
-        ((er.mean or 0.0) + (er.stddev or 0.0) for er in entries), default=0.0
+        ((er.mean or 0.0) + (er.stddev or 0.0) for er in reports), default=0.0
     )
     scale = (plot_h / peak) if peak > 0 else 0.0
     parts = [
@@ -223,7 +212,7 @@ def to_svg(report: ExperimentReport) -> str:
         f'<line x1="{left}" y1="{height - bottom}" x2="{width - gap}" y2="{height - bottom}" stroke="black"/>',
         f'<text x="12" y="16" font-size="11">mean generations</text>',
     ]
-    for i, er in enumerate(entries):
+    for i, er in enumerate(reports):
         x = left + gap + i * (bar_w + gap)
         mean = er.mean or 0.0
         h = mean * scale
@@ -260,13 +249,11 @@ def _entry_from_doc(doc, where: str) -> ExperimentEntry:
     for field in ("target", "num_gates"):
         if field not in doc:
             raise FormatError(f"{where}.{field}: required")
-    if not isinstance(doc["target"], str):
-        raise FormatError(f"{where}.target: expected a string")
-    label = doc["target"].lower()
     try:
-        target = TruthTable.parse(label)
+        target = TruthTable.parse(doc["target"])
     except FormatError as exc:
         raise FormatError(f"{where}.target: {exc}") from None
+    label = doc["target"].lower()
     values = {key: value for key, value in doc.items() if key != "target"}
     try:
         return ExperimentEntry(label=label, target=target, **values)
@@ -274,7 +261,7 @@ def _entry_from_doc(doc, where: str) -> ExperimentEntry:
         raise FormatError(f"{where}.{exc}") from None
 
 
-def parse_spec(text: str) -> ExperimentSpec:
+def parse_spec(text: str) -> tuple[ExperimentEntry, ...]:
     """Parse the JSON experiment-spec file:
 
         {"entries": [{"target": "and" | "tt:BITS", "num_gates": G,
@@ -292,12 +279,11 @@ def parse_spec(text: str) -> ExperimentSpec:
         raise FormatError("top level: expected an object with an 'entries' array")
     if not isinstance(doc["entries"], list):
         raise FormatError("entries: expected an array")
-    entries = tuple(
+    return tuple(
         _entry_from_doc(entry, f"entries[{i}]") for i, entry in enumerate(doc["entries"])
     )
-    return ExperimentSpec(entries)
 
 
-def with_base_seed(spec: ExperimentSpec, base_seed: int) -> ExperimentSpec:
-    """Same spec with every entry's base_seed replaced."""
-    return ExperimentSpec(tuple(replace(e, base_seed=base_seed) for e in spec.entries))
+def with_base_seed(entries: tuple[ExperimentEntry, ...], base_seed: int) -> tuple[ExperimentEntry, ...]:
+    """The same entries with every base_seed replaced."""
+    return tuple(replace(e, base_seed=base_seed) for e in entries)

@@ -176,20 +176,20 @@ def cmd_bench(args) -> int:
             flags = ", ".join(flag for flag, _ in given)
             raise _UsageError(f"{flags}: only with --paper-defaults (a spec file sets these per entry)")
         with open(args.spec) as fh:
-            spec = parse_spec(fh.read())
+            entries = parse_spec(fh.read())
     else:
-        spec = default_experiment_spec(**{field: getattr(args, field) for _, field in given})
+        entries = default_experiment_spec(**{field: getattr(args, field) for _, field in given})
     if args.seed is not None:
-        spec = with_base_seed(spec, args.seed)
-    report = run_experiment(spec)
-    csv_text = to_csv(report)
+        entries = with_base_seed(entries, args.seed)
+    reports = run_experiment(entries)
+    csv_text = to_csv(reports)
     if args.out:
         _write(args.out, csv_text)
-        print(to_table(report), end="")
+        print(to_table(reports), end="")
     else:
         print(csv_text, end="")
     if args.plot:
-        _write(args.plot, to_svg(report))
+        _write(args.plot, to_svg(reports))
     return EXIT_OK
 
 

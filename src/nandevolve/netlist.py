@@ -193,7 +193,7 @@ class TruthTable:
         """One of the two-input presets: and, or, nor, xor, xnor, nand."""
         try:
             return cls(2, _PRESETS[name.lower()])
-        except KeyError:
+        except (AttributeError, KeyError, TypeError):
             raise FormatError(
                 f"unknown target name {name!r} (choose from {', '.join(sorted(_PRESETS))})"
             ) from None
@@ -201,7 +201,7 @@ class TruthTable:
     @classmethod
     def parse(cls, text: str) -> "TruthTable":
         """Parse a preset name or a 'tt:BITS' literal in canonical row order."""
-        if text.lower().startswith("tt:"):
+        if isinstance(text, str) and text.lower().startswith("tt:"):
             bits = text[3:]
             if not bits or set(bits) - {"0", "1"}:
                 raise FormatError(f"tt: literal must be a nonempty bit string, got {bits!r}")
@@ -270,6 +270,8 @@ def evaluate(genome: NandGenome, assignment) -> int:
         raise ArityError(
             f"assignment has {len(assignment)} bits, genome expects {genome.num_inputs}"
         )
+    if any(v not in (0, 1) for v in assignment):
+        raise ValueError(f"assignment: expected bits 0 or 1, got {assignment!r}")
     return ids_output(genome_ids(genome), [1 if v else 0 for v in assignment], 1)
 
 

@@ -32,14 +32,15 @@ def genome_count(num_inputs: int, num_gates: int) -> int:
 
 
 def _check_budget(num_inputs: int, num_gates: int, budget: int):
+    """Refuse (CapacityError) at the first gate count up to num_gates whose
+    space exceeds the budget, before any larger space is multiplied out."""
     require_int("num_inputs", num_inputs, 1)
     require_int("num_gates", num_gates, 1)
     require_int("budget", budget, 1)
-    count = genome_count(num_inputs, num_gates)
-    if count > budget:
-        raise CapacityError(
-            f"{count} genomes at {num_gates} gates exceeds the budget of {budget}"
-        )
+    for gates in range(1, num_gates + 1):
+        count = genome_count(num_inputs, gates)
+        if count > budget:
+            raise CapacityError(f"{count} genomes at {gates} gates exceeds the budget of {budget}")
 
 
 def enumerate_genomes(num_inputs: int, num_gates: int,
@@ -102,7 +103,6 @@ class MinimalityResult:
     raw_count / canonical_count tally all solutions at that count.
     """
 
-    target: TruthTable
     minimal_gates: int | None
     witness: NandGenome | None
     raw_count: int
@@ -138,14 +138,13 @@ def minimal_gates(target: TruthTable, max_gates: int,
                   budget: int = DEFAULT_BUDGET) -> MinimalityResult:
     """Search gate counts 1..max_gates for the smallest realization.
 
-    The whole search must fit the budget (checked for every level up front,
-    so results never depend on how far a cheap target happened to get).
+    The whole search must fit the budget (checked up front, so results
+    never depend on how far a cheap target happened to get).
     """
     require_int("max_gates", max_gates, 1)
-    for gates in range(1, max_gates + 1):
-        _check_budget(target.num_inputs, gates, budget)
+    _check_budget(target.num_inputs, max_gates, budget)
     for gates in range(1, max_gates + 1):
         witness, raw, canonical = _solve_level(target, gates)
         if witness is not None:
-            return MinimalityResult(target, gates, witness, raw, canonical)
-    return MinimalityResult(target, None, None, 0, 0)
+            return MinimalityResult(gates, witness, raw, canonical)
+    return MinimalityResult(None, None, 0, 0)

@@ -7,7 +7,6 @@ import pytest
 from nandevolve.bench import (
     CSV_COLUMNS,
     ExperimentEntry,
-    ExperimentSpec,
     default_experiment_spec,
     parse_spec,
     run_entry,
@@ -22,20 +21,18 @@ from nandevolve.netlist import FormatError, TruthTable, canonical_key, truth_tab
 
 
 def small_spec(runs=4, base_seed=100):
-    return ExperimentSpec(
-        (
-            ExperimentEntry("and", TruthTable.named("and"), 2, runs=runs, base_seed=base_seed),
-            ExperimentEntry("or", TruthTable.named("or"), 3, runs=runs, base_seed=base_seed),
-        )
+    return (
+        ExperimentEntry("and", TruthTable.named("and"), 2, runs=runs, base_seed=base_seed),
+        ExperimentEntry("or", TruthTable.named("or"), 3, runs=runs, base_seed=base_seed),
     )
 
 
 class TestDefaultSpec:
     def test_entries(self):
         spec = default_experiment_spec(base_seed=42)
-        assert [e.label for e in spec.entries] == ["and", "or", "nor", "xor", "xnor"]
-        assert [e.num_gates for e in spec.entries] == [2, 3, 4, 4, 5]
-        for entry in spec.entries:
+        assert [e.label for e in spec] == ["and", "or", "nor", "xor", "xnor"]
+        assert [e.num_gates for e in spec] == [2, 3, 4, 4, 5]
+        for entry in spec:
             assert entry.population_size == 10
             assert entry.mutation_rate == 0.10
             assert entry.runs == 10
@@ -43,7 +40,7 @@ class TestDefaultSpec:
 
     def test_protocol_defaults_are_gaconfigs(self):
         config = GaConfig(num_gates=1)
-        for entry in default_experiment_spec().entries:
+        for entry in default_experiment_spec():
             assert entry.population_size == config.population_size
             assert entry.mutation_rate == config.mutation_rate
             assert entry.max_generations == config.max_generations
@@ -53,8 +50,8 @@ class TestRunExperiment:
     def test_report_shape_and_determinism(self):
         spec = small_spec()
         report = run_experiment(spec)
-        assert len(report.entries) == 2
-        for er in report.entries:
+        assert len(report) == 2
+        for er in report:
             assert len(er.runs) == 4
             assert [r.run_index for r in er.runs] == [0, 1, 2, 3]
             assert [r.seed for r in er.runs] == [100, 101, 102, 103]
@@ -62,7 +59,7 @@ class TestRunExperiment:
 
     def test_aggregates_recomputable_from_rows(self):
         report = run_experiment(small_spec(runs=8))
-        for er in report.entries:
+        for er in report:
             solved = [r.generations for r in er.runs if r.solved]
             assert er.solve_count == len(solved)
             assert er.exhausted_count == len(er.runs) - len(solved)
@@ -87,9 +84,9 @@ class TestRunExperiment:
 
     def test_entry_order_does_not_change_outcomes(self):
         spec = small_spec()
-        flipped = ExperimentSpec(tuple(reversed(spec.entries)))
-        by_label = {er.entry.label: er for er in run_experiment(spec).entries}
-        by_label_flipped = {er.entry.label: er for er in run_experiment(flipped).entries}
+        flipped = tuple(reversed(spec))
+        by_label = {er.entry.label: er for er in run_experiment(spec)}
+        by_label_flipped = {er.entry.label: er for er in run_experiment(flipped)}
         assert by_label == by_label_flipped
 
     def test_exhausted_runs_recorded_not_raised(self):
@@ -144,7 +141,7 @@ class TestCsv:
         assert kinds.count("summary") == 5
 
     def test_empty_report_is_header_only(self):
-        text = to_csv(run_experiment(ExperimentSpec(())))
+        text = to_csv(run_experiment(()))
         assert text == ",".join(CSV_COLUMNS) + "\n"
 
     def test_run_and_summary_fields(self):
@@ -186,7 +183,7 @@ class TestRendering:
         assert len(lines) == 4  # header, rule, two entries
 
     def test_svg_handles_empty_report(self):
-        svg = to_svg(run_experiment(ExperimentSpec(())))
+        svg = to_svg(run_experiment(()))
         assert "<svg" in svg
 
 
@@ -199,7 +196,7 @@ class TestParseSpec:
         ]}
         """
         spec = parse_spec(text)
-        entry = spec.entries[0]
+        entry = spec[0]
         assert entry.label == "xnor"
         assert entry.target == TruthTable.named("xnor")
         assert entry.num_gates == 5
@@ -210,7 +207,7 @@ class TestParseSpec:
 
     def test_defaults_applied(self):
         spec = parse_spec('{"entries": [{"target": "tt:0110", "num_gates": 4}]}')
-        entry = spec.entries[0]
+        entry = spec[0]
         assert entry.label == "tt:0110"
         assert entry.population_size == 10
         assert entry.mutation_rate == 0.10
@@ -225,6 +222,7 @@ class TestParseSpec:
             ('{"entries": [{"target": "and", "num_gates": 2, "runs": 0}]}', "entries[0].runs"),
             ('{"entries": [{"target": "and", "num_gates": 2, "mutation_rate": 2}]}', "mutation_rate"),
             ('{"entries": [{"target": "blub", "num_gates": 2}]}', "entries[0].target: unknown target name"),
+            ('{"entries": [{"target": 5, "num_gates": 2}]}', "entries[0].target: unknown target name"),
             ('{"entries": 5}', "entries"),
             ("[]", "entries"),
             ("{nope", "line 1"),
@@ -247,13 +245,11 @@ class TestParseSpec:
             '{"entries": [{"target": "and", "num_gates": 2, "mutation_rate": 1,'
             ' "runs": 1, "max_generations": 0}]}'
         )
-        built = ExperimentSpec(
-            (ExperimentEntry("and", TruthTable.named("and"), 2, mutation_rate=1, runs=1, max_generations=0),)
-        )
+        built = (ExperimentEntry("and", TruthTable.named("and"), 2, mutation_rate=1, runs=1, max_generations=0),)
         for s in (spec, built):
             rows = list(csv.DictReader(io.StringIO(to_csv(run_experiment(s)))))
             assert [row["mutation_rate"] for row in rows] == ["1.0", "1.0"]
 
     def test_with_base_seed(self):
         spec = with_base_seed(small_spec(base_seed=5), 77)
-        assert all(e.base_seed == 77 for e in spec.entries)
+        assert all(e.base_seed == 77 for e in spec)

@@ -63,6 +63,17 @@ class TestNandSemantics:
         with pytest.raises(ArityError):
             evaluate(nand, (1,))
 
+    @pytest.mark.parametrize("assignment", ["00", ["0", "0"], (2, 0), (None, 1)])
+    def test_values_must_be_bits(self, assignment):
+        nand = genome(2, (x(0), x(1)))
+        with pytest.raises(ValueError, match="^assignment: expected bits 0 or 1"):
+            evaluate(nand, assignment)
+
+    def test_bool_and_float_bits_accepted(self):
+        nand = genome(2, (x(0), x(1)))
+        assert evaluate(nand, (True, False)) == 1
+        assert evaluate(nand, (1.0, 0.0)) == 1
+
     def test_evaluates_beyond_the_table_cap(self):
         # 17 inputs is past MAX_INPUTS for tables, not for one assignment
         wide = NandGenome(17, ((x(0), x(16)), (g(0), x(5))))
@@ -127,6 +138,14 @@ class TestTruthTable:
             TruthTable.parse("tt:01x0")
         with pytest.raises(FormatError):
             TruthTable.parse("tt:1")  # zero-input table
+
+    @pytest.mark.parametrize("make,value", [
+        (TruthTable.parse, 5), (TruthTable.parse, None),
+        (TruthTable.named, 5), (TruthTable.parse, b"tt:01"),
+    ])
+    def test_non_string_target_is_format_error(self, make, value):
+        with pytest.raises(FormatError, match="unknown target name"):
+            make(value)
 
     def test_mask_round_trip(self):
         t = TruthTable(3, "01101001")

@@ -136,6 +136,20 @@ class TestMinimalGates:
         with pytest.raises(CapacityError):
             minimal_gates(TruthTable.named("nand"), 7)
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda: count_solutions(TruthTable.named("and"), 1000),
+            lambda: enumerate_genomes(2, 10**6),
+            lambda: minimal_gates(TruthTable.named("and"), 10**6),
+        ],
+        ids=["count-1000", "enumerate-1e6", "minimal-1e6"],
+    )
+    def test_budget_refused_at_first_level_over_it(self, query):
+        # the space is multiplied out level by level, never at the top count
+        with pytest.raises(CapacityError, match="^1625702400 genomes at 7 gates exceeds"):
+            query()
+
     def test_rejects_bad_max(self):
         for max_gates in (0, 2.5, True):
             with pytest.raises(ValueError, match="^max_gates: "):

@@ -15,7 +15,7 @@ import statistics
 from dataclasses import dataclass, fields, replace
 
 from .evolve import SEED_LIMIT, GaConfig, require_int, run_evolution
-from .netlist import FormatError, NandGenome, TruthTable, canonical_key
+from .netlist import FormatError, NandGenome, TruthTable, canonical_key, require_table
 
 # Minimal NAND-gate counts per two-input target, used by the default
 # experiment (and / or / nor / xor / xnor at 2/3/4/4/5 gates).
@@ -34,9 +34,10 @@ CSV_COLUMNS = [
 class ExperimentEntry:
     """One batch: `runs` seeded evolutions of the same target and config.
 
-    Every field the batch needs is checked when the entry is built: `runs`,
-    the run seeds base_seed .. base_seed + runs - 1 (all below SEED_LIMIT),
-    and the GA fields through run 0's GaConfig, whose float rate is kept.
+    Every field the batch needs is checked when the entry is built: `target`
+    (a TruthTable), `runs`, the run seeds base_seed .. base_seed + runs - 1
+    (all below SEED_LIMIT), and the GA fields through run 0's GaConfig, whose
+    float rate is kept.
     Each ValueError starts with the field name.
     """
 
@@ -50,6 +51,7 @@ class ExperimentEntry:
     max_generations: int = GaConfig.max_generations
 
     def __post_init__(self):
+        require_table(self.target)
         require_int("runs", self.runs, 1)
         require_int("base_seed", self.base_seed, 0, SEED_LIMIT - self.runs + 1)
         object.__setattr__(self, "mutation_rate", self.config_for_run(0).mutation_rate)

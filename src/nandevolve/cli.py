@@ -60,14 +60,15 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
-# bench flags that set one ExperimentEntry field of every --paper-defaults
-# entry: (flag, field, type, help text)
-_TUNING_FLAGS = (
-    ("--runs", "runs", int, "runs per target"),
+# GA flags of evolve and bench, each setting the GaConfig (and ExperimentEntry)
+# field of the same name: (flag, field, type, help text)
+_GA_FLAGS = (
     ("--pop", "population_size", int, "population size"),
     ("--mutation", "mutation_rate", float, "mutation rate"),
     ("--max-gen", "max_generations", int, "generation cap"),
 )
+# bench flags that set one field of every --paper-defaults entry
+_TUNING_FLAGS = (("--runs", "runs", int, "runs per target"), *_GA_FLAGS)
 
 
 def _target_flag(parser):
@@ -86,20 +87,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evolve", help="evolve one circuit for a target")
     _target_flag(p)
-    p.add_argument("--gates", type=int, help="NAND gates per genome")
-    p.add_argument("--pop", type=int, default=GaConfig.population_size,
-                   help="population size (default %(default)s)")
-    p.add_argument("--mutation", type=float, default=GaConfig.mutation_rate,
-                   help="per-gene mutation rate (default %(default)s)")
-    p.add_argument("--max-gen", type=int, default=GaConfig.max_generations,
-                   help="generation cap (default %(default)s)")
+    p.add_argument("--gates", type=int,
+                   help="NAND gates per genome (default: a named target's minimal count)")
+    for flag, field, kind, what in _GA_FLAGS:
+        p.add_argument(flag, dest=field, type=kind, default=getattr(GaConfig, field),
+                       help=f"{what} (default %(default)s)")
     p.add_argument("--seed", type=int, default=GaConfig.seed, help="RNG seed (default %(default)s)")
     p.add_argument("--trace", action="store_true",
                    help="emit per-generation CSV (generation,best_fitness,mean_fitness) on stderr")
     p.add_argument("--export-json", metavar="PATH", help="write the solution netlist JSON here instead of stdout")
     p.add_argument("--export-dot", metavar="PATH", help="write a Graphviz rendering of the solution")
-    p.add_argument("--paper-defaults", action="store_true",
-                   help="default --gates to the target's minimal gate count (named targets only)")
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("bench", help="run an experiment batch and emit CSV")
@@ -110,7 +107,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None,
                    help="base seed (run i uses base+i); overrides spec-file seeds")
     for flag, field, kind, what in _TUNING_FLAGS:
-        p.add_argument(flag, dest=field, type=kind, metavar=flag[2:].upper().replace("-", "_"),
+        p.add_argument(flag, dest=field, type=kind,
                        help=f"{what} with --paper-defaults (default {getattr(ExperimentEntry, field)})")
     p.add_argument("--out", metavar="PATH", help="write CSV here (default: stdout)")
     p.add_argument("--plot", metavar="PATH", help="write an SVG bar chart of mean generations")
@@ -134,19 +131,11 @@ def build_parser() -> _Parser:
 def cmd_evolve(args) -> int:
     label = args.target.lower()
     target = TruthTable.parse(label)
-    gates = args.gates
+    gates = DEFAULT_GATES.get(label) if args.gates is None else args.gates
     if gates is None:
-        if args.paper_defaults and label in DEFAULT_GATES:
-            gates = DEFAULT_GATES[label]
-        else:
-            raise _UsageError("--gates is required (or use --paper-defaults with a named target)")
-    config = GaConfig(
-        num_gates=gates,
-        population_size=args.pop,
-        mutation_rate=args.mutation,
-        max_generations=args.max_gen,
-        seed=args.seed,
-    )
+        raise _UsageError("--gates is required for a tt: target")
+    ga_fields = {field: getattr(args, field) for _, field, _, _ in _GA_FLAGS}
+    config = GaConfig(gates, seed=args.seed, **ga_fields)
     outcome = run_evolution(config, target, trace=args.trace)
     if args.trace:
         print("generation,best_fitness,mean_fitness", file=sys.stderr)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .netlist import ArityError, NandGenome, TruthTable, gene_sizes, genome_from_ids, genome_ids, scorer
+from .netlist import (ArityError, NandGenome, TruthTable, gene_sizes, genome_from_ids, genome_ids,
+                      require_table, scorer)
 
 # Seeds are unsigned 64-bit integers.
 SEED_LIMIT = 2**64
@@ -149,8 +150,10 @@ def step_generation(population: list[Individual], target: TruthTable,
     Members with fitness 0 are culled from the breeding pool; each child's
     two parents are independent uniform draws (with replacement) from the
     pool. If the whole population has zero fitness the population is
-    reinitialized randomly instead. Output size always equals the input size.
+    reinitialized randomly instead. It returns config.population_size
+    children, whatever the size of the population given.
     """
+    require_table(target)
     n, num_gates = target.num_inputs, config.num_gates
     for ind in population:
         if ind.fitness > 0.0 and (ind.genome.num_inputs != n or ind.genome.num_gates != num_gates):
@@ -172,6 +175,7 @@ def run_evolution(config: GaConfig, target: TruthTable, trace: bool = False) -> 
     bit-identical outcome, trace included. Members are allele-id lists (see
     netlist.sources); only the genomes returned are built as NandGenome.
     """
+    require_table(target)
     n, size = target.num_inputs, config.population_size
     sizes = gene_sizes(n, config.num_gates)
     split = config.crossover_split

@@ -155,6 +155,14 @@ _PRESETS = {
 }
 
 
+def _check_arity(num_inputs) -> None:
+    """TruthTable's rule for num_inputs, checked before any 1 << num_inputs."""
+    if not isinstance(num_inputs, int) or isinstance(num_inputs, bool) or num_inputs < 1:
+        raise FormatError(f"num_inputs must be an int >= 1, got {num_inputs!r}")
+    if num_inputs > MAX_INPUTS:
+        raise CapacityError(f"arity {num_inputs} exceeds the {MAX_INPUTS}-input limit")
+
+
 @dataclass(frozen=True)
 class TruthTable:
     """A single-output boolean function of `num_inputs` variables.
@@ -167,10 +175,7 @@ class TruthTable:
     rows: str
 
     def __post_init__(self):
-        if not isinstance(self.num_inputs, int) or isinstance(self.num_inputs, bool) or self.num_inputs < 1:
-            raise FormatError(f"num_inputs must be an int >= 1, got {self.num_inputs!r}")
-        if self.num_inputs > MAX_INPUTS:
-            raise CapacityError(f"arity {self.num_inputs} exceeds the {MAX_INPUTS}-input limit")
+        _check_arity(self.num_inputs)
         if not isinstance(self.rows, str) or len(self.rows) != 1 << self.num_inputs:
             raise FormatError(
                 f"rows must be a bit string of length {1 << self.num_inputs}, got {self.rows!r}"
@@ -185,7 +190,11 @@ class TruthTable:
 
     @classmethod
     def from_mask(cls, num_inputs: int, mask: int) -> "TruthTable":
+        """Table whose rows[i] is bit i of mask, 0 <= mask < 2**(2**num_inputs)."""
+        _check_arity(num_inputs)
         rows = 1 << num_inputs
+        if not isinstance(mask, int) or isinstance(mask, bool) or not 0 <= mask < 1 << rows:
+            raise FormatError(f"mask: expected an integer in [0, 2**{rows}), got {mask!r}")
         return cls(num_inputs, format(mask, f"0{rows}b")[::-1])
 
     @classmethod
@@ -212,6 +221,13 @@ class TruthTable:
                 raise FormatError("tt: literal needs at least 2 rows")
             return cls(n, bits)
         return cls.named(text)
+
+
+def require_table(target) -> None:
+    """Raise ValueError unless target is a TruthTable; a name or tt: text
+    must go through TruthTable.parse first."""
+    if not isinstance(target, TruthTable):
+        raise ValueError(f"target: expected a TruthTable, got {target!r}")
 
 
 @lru_cache(maxsize=None)
@@ -266,10 +282,12 @@ def output_mask(genome: NandGenome) -> int:
 
 def evaluate(genome: NandGenome, assignment) -> int:
     """Output bit of the circuit for one input assignment."""
-    if len(assignment) != genome.num_inputs:
-        raise ArityError(
-            f"assignment has {len(assignment)} bits, genome expects {genome.num_inputs}"
-        )
+    try:
+        size = len(assignment)
+    except TypeError:
+        raise ValueError(f"assignment: expected a sequence of bits, got {assignment!r}") from None
+    if size != genome.num_inputs:
+        raise ArityError(f"assignment has {size} bits, genome expects {genome.num_inputs}")
     if any(v not in (0, 1) for v in assignment):
         raise ValueError(f"assignment: expected bits 0 or 1, got {assignment!r}")
     return ids_output(genome_ids(genome), [1 if v else 0 for v in assignment], 1)
@@ -286,6 +304,7 @@ def fitness(genome: NandGenome, target: TruthTable) -> float:
     Always an exact multiple of 2^-n, so comparisons against 0.0 and 1.0
     are exact; 1.0 means the circuit realizes the target.
     """
+    require_table(target)
     if genome.num_inputs != target.num_inputs:
         raise ArityError(
             f"genome has {genome.num_inputs} inputs, target has {target.num_inputs}"

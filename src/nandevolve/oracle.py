@@ -21,6 +21,7 @@ from .netlist import (
     genome_from_ids,
     input_masks,
     prune_ids,
+    require_table,
 )
 
 DEFAULT_BUDGET = 100_000_000
@@ -129,6 +130,7 @@ def _solve_level(target: TruthTable, num_gates: int) -> tuple[NandGenome | None,
 def count_solutions(target: TruthTable, num_gates: int,
                     budget: int = DEFAULT_BUDGET) -> SolutionCount:
     """Count genomes with exactly num_gates gates realizing the target."""
+    require_table(target)
     _check_budget(target.num_inputs, num_gates, budget)
     _, raw, canonical = _solve_level(target, num_gates)
     return SolutionCount(raw=raw, canonical=canonical)
@@ -141,6 +143,7 @@ def minimal_gates(target: TruthTable, max_gates: int,
     The whole search must fit the budget (checked up front, so results
     never depend on how far a cheap target happened to get).
     """
+    require_table(target)
     require_int("max_gates", max_gates, 1)
     _check_budget(target.num_inputs, max_gates, budget)
     for gates in range(1, max_gates + 1):

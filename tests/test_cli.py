@@ -39,10 +39,17 @@ class TestEvolve:
         assert truth_table_of(netlist_from_stdout(out)).rows == "0110"
 
     def test_paper_defaults_pick_gate_count(self, capsys):
-        code, out, _ = run_cli(capsys, "evolve", "--target", "xor", "--paper-defaults", "--seed", "3")
+        code, out, _ = run_cli(capsys, "evolve", "--target", "xor", "--seed", "3")
         assert code == 0
         circuit = netlist_from_stdout(out)
         assert circuit.num_gates == 4
+
+    @pytest.mark.parametrize("name", [*sorted(bench.DEFAULT_GATES), "XNOR"])
+    def test_named_target_defaults_to_its_minimal_gates(self, capsys, name):
+        given = run_cli(capsys, "evolve", "--target", name, "--seed", "5")
+        explicit = run_cli(capsys, "evolve", "--target", name, "--seed", "5",
+                           "--gates", str(bench.DEFAULT_GATES[name.lower()]))
+        assert given == explicit and given[0] == 0
 
     def test_exhausted_exit_code(self, capsys):
         # seed 1 has no generation-0 AND solution
@@ -78,7 +85,7 @@ class TestEvolve:
         assert lines[1].startswith("0,")
 
     def test_missing_gates_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "evolve", "--target", "tt:0110", "--paper-defaults")
+        code, _, err = run_cli(capsys, "evolve", "--target", "tt:0110")
         assert code == 64
         assert "--gates" in err
 

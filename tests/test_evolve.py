@@ -230,6 +230,7 @@ class TestStepGeneration:
         culled = evaluated(genome(2, (x(0), x(1))), target)  # fitness 0
         cfg = GaConfig(num_gates=2, population_size=8, mutation_rate=0.0, seed=0)
         children = step_generation([culled, keeper, culled], target, random.Random(2), cfg)
+        assert len(children) == 8
         assert all(ind.genome == keeper.genome for ind in children)
 
     def test_children_are_evaluated(self):

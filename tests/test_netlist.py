@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nandevolve.bench import ExperimentEntry
+from nandevolve.evolve import GaConfig, run_evolution, step_generation
 from nandevolve.netlist import (
     ArityError,
     CapacityError,
@@ -26,6 +28,7 @@ from nandevolve.netlist import (
     prune_dead_gates,
     truth_table_of,
 )
+from nandevolve.oracle import count_solutions, minimal_gates
 
 import reference_netlist
 from conftest import g, genome, genomes, random_valid_genome, x
@@ -67,6 +70,12 @@ class TestNandSemantics:
     def test_values_must_be_bits(self, assignment):
         nand = genome(2, (x(0), x(1)))
         with pytest.raises(ValueError, match="^assignment: expected bits 0 or 1"):
+            evaluate(nand, assignment)
+
+    @pytest.mark.parametrize("assignment", [5, iter([0, 1]), None], ids=["int", "iterator", "None"])
+    def test_assignment_must_have_a_length(self, assignment):
+        nand = genome(2, (x(0), x(1)))
+        with pytest.raises(ValueError, match="^assignment: expected a sequence of bits, got "):
             evaluate(nand, assignment)
 
     def test_bool_and_float_bits_accepted(self):
@@ -150,6 +159,40 @@ class TestTruthTable:
     def test_mask_round_trip(self):
         t = TruthTable(3, "01101001")
         assert TruthTable.from_mask(3, t.mask) == t
+        assert TruthTable.from_mask(2, 0).rows == "0000"
+        assert TruthTable.from_mask(2, 15).rows == "1111"
+
+    @pytest.mark.parametrize("num_inputs,mask,error,text", [
+        (2, 99, FormatError, r"mask: expected an integer in \[0, 2\*\*4\), got 99"),
+        (2, 16, FormatError, "mask: "),
+        (2, -1, FormatError, "mask: "),
+        (2, 2.5, FormatError, "mask: "),
+        (2, True, FormatError, "mask: "),
+        (2.5, 1, FormatError, "num_inputs must be an int >= 1, got 2.5"),
+        (-1, 1, FormatError, "num_inputs must be an int >= 1, got -1"),
+        (17, 1, CapacityError, "arity 17 exceeds"),
+    ], ids=["99", "16", "negative", "float", "bool", "float-arity", "negative-arity", "17-inputs"])
+    def test_from_mask_checks_arguments(self, num_inputs, mask, error, text):
+        with pytest.raises(error, match=f"^{text}"):
+            TruthTable.from_mask(num_inputs, mask)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rng: minimal_gates("and", 2),
+    lambda rng: count_solutions("and", 2),
+    lambda rng: fitness(genome(2, (x(0), x(1))), "and"),
+    lambda rng: run_evolution(GaConfig(num_gates=2), "and"),
+    lambda rng: step_generation([], "and", rng, GaConfig(num_gates=2)),
+    lambda rng: ExperimentEntry(label="x", target="and", num_gates=2),
+], ids=["minimal_gates", "count_solutions", "fitness", "run_evolution", "step_generation",
+        "ExperimentEntry"])
+def test_target_must_be_a_truth_table(call):
+    # checked before any use of the target and before any RNG draw
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="^target: expected a TruthTable, got 'and'$"):
+        call(rng)
+    assert rng.getstate() == state
 
 
 class TestFitness:

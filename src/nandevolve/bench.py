@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import statistics
 from dataclasses import dataclass, fields, replace
 
-from .evolve import SEED_LIMIT, GaConfig, require_int, run_evolution
-from .netlist import FormatError, NandGenome, TruthTable, canonical_key, require_table
+from .evolve import SEED_LIMIT, GaConfig, run_evolution
+from .netlist import (FormatError, NandGenome, TruthTable, _load_json, canonical_key, require_int,
+                      require_table)
 
 # Minimal NAND-gate counts per two-input target, used by the default
 # experiment (and / or / nor / xor / xnor at 2/3/4/4/5 gates).
@@ -111,11 +111,12 @@ def default_experiment_spec(**fields) -> tuple[ExperimentEntry, ...]:
 def run_entry(entry: ExperimentEntry) -> EntryReport:
     records = []
     for i in range(entry.runs):
-        outcome = run_evolution(entry.config_for_run(i), entry.target)
+        config = entry.config_for_run(i)
+        outcome = run_evolution(config, entry.target)
         records.append(
             RunRecord(
                 run_index=i,
-                seed=entry.base_seed + i,
+                seed=config.seed,
                 solved=outcome.solved,
                 generations=outcome.generations,
                 genome=outcome.genome,
@@ -273,10 +274,7 @@ def parse_spec(text: str) -> tuple[ExperimentEntry, ...]:
     num_gates is required per entry; the rest default to ExperimentEntry's
     defaults, the standard protocol.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    doc = _load_json(text)
     if not isinstance(doc, dict) or "entries" not in doc:
         raise FormatError("top level: expected an object with an 'entries' array")
     if not isinstance(doc["entries"], list):

@@ -170,6 +170,9 @@ def cmd_bench(args) -> int:
         entries = default_experiment_spec(**{field: getattr(args, field) for _, field in given})
     if args.seed is not None:
         entries = with_base_seed(entries, args.seed)
+    for path in (args.out, args.plot):
+        if path:
+            open(path, "a").close()  # an unwritable path fails before any run
     reports = run_experiment(entries)
     csv_text = to_csv(reports)
     if args.out:

@@ -12,28 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .netlist import (ArityError, NandGenome, TruthTable, gene_sizes, genome_from_ids, genome_ids,
-                      require_table, scorer)
+from .netlist import (ArityError, NandGenome, TruthTable, _show, gene_sizes, genome_from_ids,
+                      genome_ids, require_int, require_rate, require_table, scorer)
 
 # Seeds are unsigned 64-bit integers.
 SEED_LIMIT = 2**64
-
-
-def require_int(name: str, value, minimum: int, limit: int | None = None) -> None:
-    """Raise ValueError naming the field unless value is an int (not a bool)
-    in [minimum, limit)."""
-    if (not isinstance(value, int) or isinstance(value, bool) or value < minimum
-            or (limit is not None and value >= limit)):
-        bounds = f">= {minimum}" if limit is None else f"in [{minimum}, {limit})"
-        raise ValueError(f"{name}: expected an integer {bounds}, got {value!r}")
-
-
-def require_rate(name: str, value) -> float:
-    """Return value as a float if it is a number (not a bool) in [0, 1];
-    otherwise raise ValueError naming the field."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name}: expected a number in [0, 1], got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -157,7 +140,7 @@ def step_generation(population: list[Individual], target: TruthTable,
     n, num_gates = target.num_inputs, config.num_gates
     for ind in population:
         if ind.fitness > 0.0 and (ind.genome.num_inputs != n or ind.genome.num_gates != num_gates):
-            raise ArityError(f"breeding members must have {n} inputs and {num_gates} gates")
+            raise ArityError(f"breeding members must have {n} inputs and {_show(num_gates)} gates")
     children = _next_generation(
         [genome_ids(ind.genome) for ind in population], [ind.fitness for ind in population],
         rng, gene_sizes(n, num_gates), config.crossover_split, config.population_size,

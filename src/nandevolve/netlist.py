@@ -9,9 +9,11 @@ output of the whole circuit is the output of the last gate.
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 # Truth tables are manipulated as integer bitmasks (bit i = output for input
 # assignment i), so arity is capped where 2^n rows stay enumerable.
@@ -41,6 +43,51 @@ class FormatError(CircuitError):
     """Malformed external representation (JSON netlist, target string)."""
 
 
+def _show(value) -> str:
+    """repr(value) for an error message; it cannot fail. repr raises
+    ValueError on an int over Python's int-to-str digit limit, alone or
+    inside a container: a power of two (a bound such as 2**65536) then
+    shows as 2**k, anything else as fixed text."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int) and value > 0 and value & (value - 1) == 0:
+            return f"2**{value.bit_length() - 1}"
+        return "<int too long to show>"
+
+
+def require_int(name: str, value, minimum: int, limit: int | None = None,
+                error: type[Exception] = ValueError) -> None:
+    """Raise `error` naming the field unless value is an int (not a bool)
+    in [minimum, limit). The one integer check of every argument."""
+    if (not isinstance(value, int) or isinstance(value, bool) or value < minimum
+            or (limit is not None and value >= limit)):
+        bounds = f">= {minimum}" if limit is None else f"in [{minimum}, {_show(limit)})"
+        raise error(f"{name}: expected an integer {bounds}, got {_show(value)}")
+
+
+def require_rate(name: str, value) -> float:
+    """Return value as a float if it is a number (not a bool) in [0, 1];
+    otherwise raise ValueError naming the field."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name}: expected a number in [0, 1], got {_show(value)}")
+    return float(value)
+
+
+def _load_json(text: str):
+    """json.loads, with every malformed document a FormatError: a syntax
+    error names its position, and an integer literal over Python's
+    int-to-str digit limit (a bare ValueError from json) is named too."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except ValueError:
+        raise FormatError(
+            f"invalid JSON: an integer literal is longer than {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 @dataclass(frozen=True)
 class InputSource:
     """One allele: where a gate input is wired from."""
@@ -50,9 +97,8 @@ class InputSource:
 
     def __post_init__(self):
         if self.kind not in (EXTERNAL, GATE):
-            raise StructureError(f"unknown source type {self.kind!r}")
-        if not isinstance(self.index, int) or isinstance(self.index, bool) or self.index < 0:
-            raise StructureError(f"index must be a non-negative integer, got {self.index!r}")
+            raise StructureError(f"unknown source type {_show(self.kind)}")
+        require_int("index", self.index, 0, error=StructureError)
 
     @classmethod
     def external(cls, index: int) -> "InputSource":
@@ -66,14 +112,17 @@ class InputSource:
         return f"{'x' if self.kind == EXTERNAL else 'g'}{self.index}"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
+def _source(num_inputs: int, k: int) -> InputSource:
+    """Source of allele id k: external input k if k < num_inputs, otherwise
+    gate k - num_inputs. Cached per id, so a genome costs what its ids do,
+    whatever num_inputs is."""
+    return InputSource.external(k) if k < num_inputs else InputSource.gate(k - num_inputs)
+
+
 def sources(num_inputs: int, count: int) -> tuple[InputSource, ...]:
-    """Allele table: the sources of allele ids 0..count-1. Id k < num_inputs
-    is external input k; a larger id k is gate k - num_inputs."""
-    return tuple(
-        InputSource.external(k) if k < num_inputs else InputSource.gate(k - num_inputs)
-        for k in range(count)
-    )
+    """Allele table: the sources of allele ids 0..count-1 (see _source)."""
+    return tuple(_source(num_inputs, k) for k in range(count))
 
 
 @dataclass(frozen=True)
@@ -89,29 +138,28 @@ class NandGenome:
 
     def __post_init__(self):
         n = self.num_inputs
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise StructureError(f"num_inputs: expected an integer >= 1, got {n!r}")
+        require_int("num_inputs", n, 1, error=StructureError)
         gates = self.gates
         if not isinstance(gates, (tuple, list)):
-            raise StructureError(f"gates: expected a sequence of gate pairs, got {gates!r}")
+            raise StructureError(f"gates: expected a sequence of gate pairs, got {_show(gates)}")
         if not gates:
             raise StructureError("gates: at least one gate is required")
         # The location text is built only when a check fails; pair.index
         # finds the slot, as equal sources fail alike.
         for i, pair in enumerate(gates):
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
-                raise StructureError(f"gates[{i}]: expected a pair of sources, got {pair!r}")
+                raise StructureError(f"gates[{i}]: expected a pair of sources, got {_show(pair)}")
             for src in pair:
                 if not isinstance(src, InputSource):
-                    problem = f"expected an InputSource, got {src!r}"
+                    problem = f"expected an InputSource, got {_show(src)}"
                 elif src.kind == EXTERNAL:
                     if src.index < n:
                         continue
-                    problem = f"external index {src.index} out of range for {n} inputs"
+                    problem = f"external index {_show(src.index)} out of range for {_show(n)} inputs"
                 elif src.index < i:
                     continue
                 else:
-                    problem = f"gate index {src.index} must be below {i} (feed-forward)"
+                    problem = f"gate index {_show(src.index)} must be below {i} (feed-forward)"
                 raise StructureError(f"gates[{i}][{pair.index(src)}]: {problem}")
         object.__setattr__(self, "gates", tuple(map(tuple, gates)))
 
@@ -128,15 +176,16 @@ def gene_sizes(num_inputs: int, num_gates: int) -> tuple[int, ...]:
 
 def genome_from_ids(num_inputs: int, ids) -> NandGenome:
     """Genome whose gate i is wired from allele ids ids[2i] and ids[2i+1]
-    (see sources); NandGenome checks the feed-forward rule. num_inputs must
+    (see _source); NandGenome checks the feed-forward rule. num_inputs must
     already be an int >= 1, as TruthTable, random_genome and the oracle
     check it."""
     count = num_inputs + len(ids) // 2
     if len(ids) % 2 or (ids and not 0 <= min(ids) <= max(ids) < count):
-        raise StructureError(f"ids: expected pairs of allele ids in [0, {count}), got {ids!r}")
-    table = sources(num_inputs, count)
-    pairs = iter(ids)
-    return NandGenome(num_inputs, tuple((table[a], table[b]) for a, b in zip(pairs, pairs)))
+        raise StructureError(
+            f"ids: expected pairs of allele ids in [0, {_show(count)}), got {_show(ids)}"
+        )
+    srcs = map(_source, repeat(num_inputs), ids)
+    return NandGenome(num_inputs, tuple(zip(srcs, srcs)))
 
 
 def genome_ids(genome: NandGenome) -> list[int]:
@@ -157,10 +206,9 @@ _PRESETS = {
 
 def _check_arity(num_inputs) -> None:
     """TruthTable's rule for num_inputs, checked before any 1 << num_inputs."""
-    if not isinstance(num_inputs, int) or isinstance(num_inputs, bool) or num_inputs < 1:
-        raise FormatError(f"num_inputs must be an int >= 1, got {num_inputs!r}")
+    require_int("num_inputs", num_inputs, 1, error=FormatError)
     if num_inputs > MAX_INPUTS:
-        raise CapacityError(f"arity {num_inputs} exceeds the {MAX_INPUTS}-input limit")
+        raise CapacityError(f"arity {_show(num_inputs)} exceeds the {MAX_INPUTS}-input limit")
 
 
 @dataclass(frozen=True)
@@ -178,10 +226,10 @@ class TruthTable:
         _check_arity(self.num_inputs)
         if not isinstance(self.rows, str) or len(self.rows) != 1 << self.num_inputs:
             raise FormatError(
-                f"rows must be a bit string of length {1 << self.num_inputs}, got {self.rows!r}"
+                f"rows must be a bit string of length {1 << self.num_inputs}, got {_show(self.rows)}"
             )
         if set(self.rows) - {"0", "1"}:
-            raise FormatError(f"rows may contain only '0' and '1', got {self.rows!r}")
+            raise FormatError(f"rows may contain only '0' and '1', got {_show(self.rows)}")
 
     @property
     def mask(self) -> int:
@@ -193,8 +241,7 @@ class TruthTable:
         """Table whose rows[i] is bit i of mask, 0 <= mask < 2**(2**num_inputs)."""
         _check_arity(num_inputs)
         rows = 1 << num_inputs
-        if not isinstance(mask, int) or isinstance(mask, bool) or not 0 <= mask < 1 << rows:
-            raise FormatError(f"mask: expected an integer in [0, 2**{rows}), got {mask!r}")
+        require_int("mask", mask, 0, 1 << rows, error=FormatError)
         return cls(num_inputs, format(mask, f"0{rows}b")[::-1])
 
     @classmethod
@@ -204,7 +251,7 @@ class TruthTable:
             return cls(2, _PRESETS[name.lower()])
         except (AttributeError, KeyError, TypeError):
             raise FormatError(
-                f"unknown target name {name!r} (choose from {', '.join(sorted(_PRESETS))})"
+                f"unknown target name {_show(name)} (choose from {', '.join(sorted(_PRESETS))})"
             ) from None
 
     @classmethod
@@ -213,7 +260,7 @@ class TruthTable:
         if isinstance(text, str) and text.lower().startswith("tt:"):
             bits = text[3:]
             if not bits or set(bits) - {"0", "1"}:
-                raise FormatError(f"tt: literal must be a nonempty bit string, got {bits!r}")
+                raise FormatError(f"tt: literal must be a nonempty bit string, got {_show(bits)}")
             n = len(bits).bit_length() - 1
             if 1 << n != len(bits):
                 raise FormatError(f"tt: literal length {len(bits)} is not a power of two")
@@ -227,7 +274,7 @@ def require_table(target) -> None:
     """Raise ValueError unless target is a TruthTable; a name or tt: text
     must go through TruthTable.parse first."""
     if not isinstance(target, TruthTable):
-        raise ValueError(f"target: expected a TruthTable, got {target!r}")
+        raise ValueError(f"target: expected a TruthTable, got {_show(target)}")
 
 
 @lru_cache(maxsize=None)
@@ -275,8 +322,7 @@ def scorer(target: TruthTable) -> Callable[[list[int]], float]:
 def output_mask(genome: NandGenome) -> int:
     """Truth table of the genome's output gate, packed as an int bitmask."""
     n = genome.num_inputs
-    if n > MAX_INPUTS:
-        raise CapacityError(f"arity {n} exceeds the {MAX_INPUTS}-input limit")
+    _check_arity(n)
     return ids_output(genome_ids(genome), input_masks(n), (1 << (1 << n)) - 1)
 
 
@@ -285,11 +331,11 @@ def evaluate(genome: NandGenome, assignment) -> int:
     try:
         size = len(assignment)
     except TypeError:
-        raise ValueError(f"assignment: expected a sequence of bits, got {assignment!r}") from None
+        raise ValueError(f"assignment: expected a sequence of bits, got {_show(assignment)}") from None
     if size != genome.num_inputs:
-        raise ArityError(f"assignment has {size} bits, genome expects {genome.num_inputs}")
+        raise ArityError(f"assignment has {size} bits, genome expects {_show(genome.num_inputs)}")
     if any(v not in (0, 1) for v in assignment):
-        raise ValueError(f"assignment: expected bits 0 or 1, got {assignment!r}")
+        raise ValueError(f"assignment: expected bits 0 or 1, got {_show(assignment)}")
     return ids_output(genome_ids(genome), [1 if v else 0 for v in assignment], 1)
 
 
@@ -307,7 +353,7 @@ def fitness(genome: NandGenome, target: TruthTable) -> float:
     require_table(target)
     if genome.num_inputs != target.num_inputs:
         raise ArityError(
-            f"genome has {genome.num_inputs} inputs, target has {target.num_inputs}"
+            f"genome has {_show(genome.num_inputs)} inputs, target has {target.num_inputs}"
         )
     return scorer(target)(genome_ids(genome))
 
@@ -315,14 +361,15 @@ def fitness(genome: NandGenome, target: TruthTable) -> float:
 def prune_ids(num_inputs: int, ids) -> list[int]:
     """Allele ids of the gates reachable backward from the output gate, in
     gene order and renumbered densely; the realized truth table is
-    unchanged. Feed-forward wiring lets one backward pass find them."""
+    unchanged. Feed-forward wiring lets one backward pass find them;
+    external ids keep their number."""
     n = num_inputs
-    live = {*range(n), n + len(ids) // 2 - 1}
+    live = {n + len(ids) // 2 - 1}
     for k in reversed(range(len(ids))):
         if n + k // 2 in live:
             live.add(ids[k])
-    new_id = {old: new for new, old in enumerate(sorted(live))}
-    return [new_id[a] for k, a in enumerate(ids) if n + k // 2 in live]
+    new_id = {old: new for new, old in enumerate(sorted(a for a in live if a >= n), n)}
+    return [a if a < n else new_id[a] for k, a in enumerate(ids) if n + k // 2 in live]
 
 
 def prune_dead_gates(genome: NandGenome) -> NandGenome:
@@ -341,10 +388,8 @@ def canonical_key(genome: NandGenome) -> bytes:
     about functional equivalence.
     """
     n = genome.num_inputs
-    pruned = prune_ids(n, genome_ids(genome))
-    table = sources(n, n + len(pruned) // 2)
-    pairs = iter(pruned)
-    parts = [str(n), *(f"{table[a]!r}.{table[b]!r}" for a, b in zip(pairs, pairs))]
+    srcs = map(_source, repeat(n), prune_ids(n, genome_ids(genome)))
+    parts = [str(n), *(f"{a!r}.{b!r}" for a, b in zip(srcs, srcs))]
     return "|".join(parts).encode("ascii")
 
 
@@ -384,10 +429,7 @@ def parse_json(text: str) -> NandGenome:
     field types are rejected with the offending location in the message;
     wiring errors carry the same text as NandGenome's StructureError.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise FormatError(f"top level: expected an object, got {type(doc).__name__}")
     for field in ("inputs", "gates"):

@@ -12,15 +12,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .evolve import require_int
 from .netlist import (
     CapacityError,
     NandGenome,
     TruthTable,
+    _show,
     gene_sizes,
     genome_from_ids,
     input_masks,
     prune_ids,
+    require_int,
     require_table,
 )
 
@@ -41,7 +42,9 @@ def _check_budget(num_inputs: int, num_gates: int, budget: int):
     for gates in range(1, num_gates + 1):
         count = genome_count(num_inputs, gates)
         if count > budget:
-            raise CapacityError(f"{count} genomes at {gates} gates exceeds the budget of {budget}")
+            raise CapacityError(
+                f"{_show(count)} genomes at {gates} gates exceeds the budget of {_show(budget)}"
+            )
 
 
 def enumerate_genomes(num_inputs: int, num_gates: int,

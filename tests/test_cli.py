@@ -183,6 +183,15 @@ class TestBench:
         assert code == 65 and "base_seed" in err
         assert calls == []
 
+    @pytest.mark.parametrize("flag", ["--out", "--plot"])
+    def test_unwritable_output_fails_before_any_run(self, capsys, monkeypatch, tmp_path, flag):
+        calls = []
+        monkeypatch.setattr(bench, "run_evolution", lambda *args: calls.append(args))
+        code, _, err = run_cli(capsys, "bench", "--paper-defaults", "--runs", "30",
+                               flag, str(tmp_path / "missing" / "x"))
+        assert code == 66 and "cannot access file" in err
+        assert calls == []
+
     def test_malformed_spec_is_data_error(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text('{"entries": [{"target": "and"}]}')

@@ -1,13 +1,14 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nandevolve.bench import ExperimentEntry
-from nandevolve.evolve import GaConfig, run_evolution, step_generation
+from nandevolve.bench import ExperimentEntry, parse_spec
+from nandevolve.evolve import GaConfig, random_genome, run_evolution, step_generation
 from nandevolve.netlist import (
     ArityError,
     CapacityError,
@@ -28,7 +29,7 @@ from nandevolve.netlist import (
     prune_dead_gates,
     truth_table_of,
 )
-from nandevolve.oracle import count_solutions, minimal_gates
+from nandevolve.oracle import count_solutions, enumerate_genomes, minimal_gates
 
 import reference_netlist
 from conftest import g, genome, genomes, random_valid_genome, x
@@ -163,15 +164,17 @@ class TestTruthTable:
         assert TruthTable.from_mask(2, 15).rows == "1111"
 
     @pytest.mark.parametrize("num_inputs,mask,error,text", [
-        (2, 99, FormatError, r"mask: expected an integer in \[0, 2\*\*4\), got 99"),
+        (2, 99, FormatError, r"mask: expected an integer in \[0, 16\), got 99"),
         (2, 16, FormatError, "mask: "),
         (2, -1, FormatError, "mask: "),
         (2, 2.5, FormatError, "mask: "),
         (2, True, FormatError, "mask: "),
-        (2.5, 1, FormatError, "num_inputs must be an int >= 1, got 2.5"),
-        (-1, 1, FormatError, "num_inputs must be an int >= 1, got -1"),
+        (2.5, 1, FormatError, "num_inputs: expected an integer >= 1, got 2.5"),
+        (-1, 1, FormatError, "num_inputs: expected an integer >= 1, got -1"),
         (17, 1, CapacityError, "arity 17 exceeds"),
-    ], ids=["99", "16", "negative", "float", "bool", "float-arity", "negative-arity", "17-inputs"])
+        (16, -1, FormatError, r"mask: expected an integer in \[0, 2\*\*65536\), got -1$"),
+    ], ids=["99", "16", "negative", "float", "bool", "float-arity", "negative-arity", "17-inputs",
+            "bound-at-16-inputs"])
     def test_from_mask_checks_arguments(self, num_inputs, mask, error, text):
         with pytest.raises(error, match=f"^{text}"):
             TruthTable.from_mask(num_inputs, mask)
@@ -193,6 +196,83 @@ def test_target_must_be_a_truth_table(call):
     with pytest.raises(ValueError, match="^target: expected a TruthTable, got 'and'$"):
         call(rng)
     assert rng.getstate() == state
+
+
+AND = TruthTable.named("and")
+HUGE = 10**5000  # over Python's 4300-digit limit for int-to-str conversion
+
+# Every integer argument, checked by netlist.require_int:
+# (where, field, minimum, error type, call with the value in that field)
+INTEGER_ARGUMENTS = [
+    ("GaConfig", "num_gates", 1, ValueError, lambda v: GaConfig(num_gates=v)),
+    ("GaConfig", "population_size", 2, ValueError, lambda v: GaConfig(1, population_size=v)),
+    ("GaConfig", "max_generations", 0, ValueError, lambda v: GaConfig(1, max_generations=v)),
+    ("GaConfig", "seed", 0, ValueError, lambda v: GaConfig(1, seed=v)),
+    ("ExperimentEntry", "runs", 1, ValueError, lambda v: ExperimentEntry("and", AND, 2, runs=v)),
+    ("ExperimentEntry", "base_seed", 0, ValueError,
+     lambda v: ExperimentEntry("and", AND, 2, base_seed=v)),
+    ("random_genome", "num_inputs", 1, ValueError, lambda v: random_genome(random.Random(0), v, 1)),
+    ("random_genome", "num_gates", 1, ValueError, lambda v: random_genome(random.Random(0), 2, v)),
+    ("enumerate_genomes", "num_inputs", 1, ValueError, lambda v: enumerate_genomes(v, 1)),
+    ("enumerate_genomes", "num_gates", 1, ValueError, lambda v: enumerate_genomes(2, v)),
+    ("count_solutions", "num_gates", 1, ValueError, lambda v: count_solutions(AND, v)),
+    ("minimal_gates", "max_gates", 1, ValueError, lambda v: minimal_gates(AND, v)),
+    ("count_solutions", "budget", 1, ValueError, lambda v: count_solutions(AND, 1, budget=v)),
+    ("NandGenome", "num_inputs", 1, StructureError, lambda v: NandGenome(v, ((x(0), x(0)),))),
+    ("InputSource", "index", 0, StructureError, lambda v: InputSource("external", v)),
+    ("TruthTable", "num_inputs", 1, FormatError, lambda v: TruthTable(v, "0001")),
+    ("from_mask", "num_inputs", 1, FormatError, lambda v: TruthTable.from_mask(v, 1)),
+    ("from_mask", "mask", 0, FormatError, lambda v: TruthTable.from_mask(2, v)),
+]
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "1", None, "minimum - 1", -HUGE],
+                         ids=["bool", "float", "str", "None", "below", "huge"])
+@pytest.mark.parametrize("where,field,minimum,error,call", INTEGER_ARGUMENTS,
+                         ids=[f"{where}.{field}" for where, field, *_ in INTEGER_ARGUMENTS])
+def test_one_integer_rule(where, field, minimum, error, call, value):
+    if value == "minimum - 1":
+        value = minimum - 1
+    with pytest.raises(error) as info:
+        call(value)
+    assert type(info.value) is error
+    assert str(info.value).startswith(f"{field}: expected an integer ")
+
+
+@pytest.mark.parametrize("error,start,call", [
+    (FormatError, "mask: ", lambda: TruthTable.from_mask(2, HUGE)),
+    (FormatError, "unknown target name ", lambda: TruthTable.named(HUGE)),
+    (CapacityError, "arity ", lambda: TruthTable.from_mask(HUGE, 1)),
+    (CapacityError, "arity ", lambda: TruthTable(HUGE, "01")),
+    (StructureError, "num_inputs: ", lambda: NandGenome(-HUGE, ((x(0), x(0)),))),
+    (StructureError, "index: ", lambda: InputSource("external", -HUGE)),
+    (StructureError, "gates[0][0]: external index ", lambda: NandGenome(2, ((x(HUGE), x(0)),))),
+    (StructureError, "gates[0][0]: gate index ", lambda: NandGenome(2, ((g(HUGE), x(0)),))),
+    (StructureError, "ids: ", lambda: genome_from_ids(2, [HUGE, 0])),
+    (ValueError, "num_gates: ", lambda: GaConfig(num_gates=-HUGE)),
+    (ValueError, "mutation_rate: ", lambda: GaConfig(num_gates=1, mutation_rate=HUGE)),
+    (ValueError, "num_gates: ", lambda: count_solutions(AND, -HUGE)),
+    (ValueError, "budget: ", lambda: minimal_gates(AND, 1, budget=-HUGE)),
+    (ValueError, "assignment: ", lambda: evaluate(genome(2, (x(0), x(1))), [HUGE, 0])),
+    (CapacityError, "<int too long to show> genomes at 1 gates exceeds the budget of ",
+     lambda: enumerate_genomes(10**4400, 1, budget=10**4400)),
+])
+def test_messages_show_a_huge_int(error, start, call):
+    # repr of an int over 4300 digits raises ValueError; the message must
+    # still be built, with the value shown as fixed text
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value).startswith(start)
+    assert "<int too long to show>" in str(info.value)
+
+
+@pytest.mark.parametrize("parse", [parse_json, parse_spec], ids=["parse_json", "parse_spec"])
+@pytest.mark.parametrize("text", ['{"inputs": %s}', '{"entries": [%s]}', "%s"],
+                         ids=["field", "array", "top-level"])
+def test_an_integer_literal_over_the_digit_limit_is_format_error(parse, text):
+    with pytest.raises(FormatError, match=r"^invalid JSON: an integer literal is longer than \d+ digits$"):
+        parse(text % ("1" * 5001))
 
 
 class TestFitness:
@@ -254,7 +334,7 @@ class TestValidity:
     def test_rejects_bad_source(self):
         with pytest.raises(StructureError, match="unknown source type 'wire'"):
             InputSource("wire", 0)
-        with pytest.raises(StructureError, match="index must be a non-negative integer"):
+        with pytest.raises(StructureError, match="index: expected an integer >= 0"):
             InputSource("gate", -1)
 
     @pytest.mark.parametrize(
@@ -293,6 +373,21 @@ class TestAlleleIds:
     def test_rejects_ids_outside_the_table(self, ids):
         with pytest.raises(StructureError, match=r"^ids: "):
             genome_from_ids(2, ids)
+
+    @pytest.mark.parametrize("call", [
+        lambda: random_genome(random.Random(0), 10**6, 1),
+        lambda: canonical_key(NandGenome(10**6, ((x(5), x(999_999)),))),
+        lambda: prune_dead_gates(NandGenome(10**6, ((x(5), x(999_999)),))),
+    ], ids=["random_genome", "canonical_key", "prune_dead_gates"])
+    def test_cost_follows_the_ids_not_num_inputs(self, call):
+        # a table of all 10**6 external sources would take over 100 MiB
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_forward_id_fails_in_the_constructor(self):
         # id 3 is gate 1, which gate 1 cannot read

@@ -10,6 +10,7 @@ member realizes the target exactly.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 
 from .netlist import (ArityError, NandGenome, TruthTable, _show, gene_sizes, genome_from_ids,
@@ -107,7 +108,7 @@ def _next_generation(population: list[list[int]], fits: list[float], rng: random
 
 def random_genome(rng: random.Random, num_inputs: int, num_gates: int) -> NandGenome:
     """Genome with every gene drawn uniformly and independently."""
-    require_int("num_inputs", num_inputs, 1)
+    require_int("num_inputs", num_inputs, 1, sys.maxsize + 1)  # NandGenome's bound
     require_int("num_gates", num_gates, 1)
     return genome_from_ids(num_inputs, _random_ids(rng, gene_sizes(num_inputs, num_gates)))
 
@@ -156,7 +157,7 @@ def run_evolution(config: GaConfig, target: TruthTable, trace: bool = False) -> 
     breeding, so a lucky initialization reports generation 0. All randomness
     comes from one stream seeded with config.seed; identical inputs give a
     bit-identical outcome, trace included. Members are allele-id lists (see
-    netlist.sources); only the genomes returned are built as NandGenome.
+    netlist._source); only the genomes returned are built as NandGenome.
     """
     require_table(target)
     n, size = target.num_inputs, config.population_size

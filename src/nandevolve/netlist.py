@@ -76,10 +76,15 @@ def require_rate(name: str, value) -> float:
 
 def _load_json(text: str):
     """json.loads, with every malformed document a FormatError: a syntax
-    error names its position, and an integer literal over Python's
-    int-to-str digit limit (a bare ValueError from json) is named too."""
+    error names its position, an integer literal over Python's int-to-str
+    digit limit (a bare ValueError from json) is named too, and so is a
+    document that is not text (a bare TypeError from json)."""
     try:
         return json.loads(text)
+    except TypeError:
+        raise FormatError(
+            f"invalid JSON: expected a str, bytes or bytearray document, got {type(text).__name__}"
+        ) from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except ValueError:
@@ -120,11 +125,6 @@ def _source(num_inputs: int, k: int) -> InputSource:
     return InputSource.external(k) if k < num_inputs else InputSource.gate(k - num_inputs)
 
 
-def sources(num_inputs: int, count: int) -> tuple[InputSource, ...]:
-    """Allele table: the sources of allele ids 0..count-1 (see _source)."""
-    return tuple(_source(num_inputs, k) for k in range(count))
-
-
 @dataclass(frozen=True)
 class NandGenome:
     """An immutable NAND netlist: `num_inputs` externals feeding `gates`.
@@ -138,7 +138,9 @@ class NandGenome:
 
     def __post_init__(self):
         n = self.num_inputs
-        require_int("num_inputs", n, 1, error=StructureError)
+        # No list can be indexed past sys.maxsize, and the bound keeps every
+        # index short enough to print.
+        require_int("num_inputs", n, 1, sys.maxsize + 1, error=StructureError)
         gates = self.gates
         if not isinstance(gates, (tuple, list)):
             raise StructureError(f"gates: expected a sequence of gate pairs, got {_show(gates)}")
@@ -170,7 +172,7 @@ class NandGenome:
 
 def gene_sizes(num_inputs: int, num_gates: int) -> tuple[int, ...]:
     """Allele-space size of every gene, in gene order: both genes of gate i
-    range over the num_inputs + i ids below it (see sources)."""
+    range over the num_inputs + i ids below it (see _source)."""
     return tuple(num_inputs + i for i in range(num_gates) for _ in range(2))
 
 
@@ -293,7 +295,7 @@ def input_masks(num_inputs: int) -> tuple[int, ...]:
 
 
 def ids_output(ids, inputs, full: int) -> int:
-    """Output of the circuit wired by allele ids `ids` (see sources) when
+    """Output of the circuit wired by allele ids `ids` (see _source) when
     external input k carries inputs[k]: `values` starts as the inputs and
     gains one value per gate, so an allele id indexes it directly. Values
     are bitmasks over many assignments (full = 2^rows - 1) or single bits

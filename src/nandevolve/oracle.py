@@ -20,7 +20,6 @@ from .netlist import (
     gene_sizes,
     genome_from_ids,
     input_masks,
-    prune_ids,
     require_int,
     require_table,
 )
@@ -113,29 +112,39 @@ class MinimalityResult:
     canonical_count: int
 
 
-def _solve_level(target: TruthTable, num_gates: int) -> tuple[NandGenome | None, int, int]:
-    """(first solution in enumeration order or None, raw count, canonical
-    count) of the genomes with exactly num_gates gates realizing target.
-    At a fixed arity, equal pruned id lists mean equal canonical_key bytes,
-    so only the witness is built as a NandGenome."""
+def _solve_level(target: TruthTable, num_gates: int) -> tuple[tuple[int, ...] | None, int, int]:
+    """(allele ids of the first solution in enumeration order or None, raw
+    count, all-live count) of the genomes with exactly num_gates gates
+    realizing target. A solution is all-live when every inner gate id
+    n .. n+num_gates-2 occurs among its ids: each inner gate then feeds a
+    later gate, so every gate is reachable backward from the output."""
     n = target.num_inputs
-    witness = None
-    raw = 0
-    keys = set()
+    inner = frozenset(range(n, n + num_gates - 1))
+    first = None
+    raw = live = 0
     for ids in _scan_solutions(n, num_gates, target.mask):
-        if witness is None:
-            witness = genome_from_ids(n, ids)
+        if first is None:
+            first = ids
         raw += 1
-        keys.add(tuple(prune_ids(n, ids)))
-    return witness, raw, len(keys)
+        live += inner.issubset(ids)
+    return first, raw, live
 
 
 def count_solutions(target: TruthTable, num_gates: int,
                     budget: int = DEFAULT_BUDGET) -> SolutionCount:
-    """Count genomes with exactly num_gates gates realizing the target."""
+    """Count genomes with exactly num_gates gates realizing the target.
+
+    Every solution prunes to an all-live solution of at most num_gates
+    gates, and every such one is the pruned form of a solution (dead gates
+    put in front of it), so canonical is the all-live counts summed over
+    gate counts 1..num_gates.
+    """
     require_table(target)
     _check_budget(target.num_inputs, num_gates, budget)
-    _, raw, canonical = _solve_level(target, num_gates)
+    raw = canonical = 0
+    for gates in range(1, num_gates + 1):
+        _, raw, live = _solve_level(target, gates)
+        canonical += live
     return SolutionCount(raw=raw, canonical=canonical)
 
 
@@ -144,13 +153,15 @@ def minimal_gates(target: TruthTable, max_gates: int,
     """Search gate counts 1..max_gates for the smallest realization.
 
     The whole search must fit the budget (checked up front, so results
-    never depend on how far a cheap target happened to get).
+    never depend on how far a cheap target happened to get). Smaller gate
+    counts hold no solutions and a minimal solution has no dead gate, so
+    the canonical count (see count_solutions) equals the raw count.
     """
     require_table(target)
     require_int("max_gates", max_gates, 1)
     _check_budget(target.num_inputs, max_gates, budget)
     for gates in range(1, max_gates + 1):
-        witness, raw, canonical = _solve_level(target, gates)
-        if witness is not None:
-            return MinimalityResult(gates, witness, raw, canonical)
+        first, raw, live = _solve_level(target, gates)
+        if first is not None:
+            return MinimalityResult(gates, genome_from_ids(target.num_inputs, first), raw, live)
     return MinimalityResult(None, None, 0, 0)

@@ -12,7 +12,14 @@ from __future__ import annotations
 import random
 
 from nandevolve.evolve import GaConfig, GenPoint, Individual, RunOutcome
-from nandevolve.netlist import ArityError, InputSource, NandGenome, TruthTable, fitness, sources
+from nandevolve.netlist import ArityError, InputSource, NandGenome, TruthTable, fitness
+
+
+def sources(num_inputs: int, count: int) -> tuple[InputSource, ...]:
+    """Allele table: the sources of allele ids 0..count-1, external input k
+    for k < num_inputs, otherwise gate k - num_inputs."""
+    return tuple(InputSource.external(k) if k < num_inputs else InputSource.gate(k - num_inputs)
+                 for k in range(count))
 
 
 def random_source(rng: random.Random, num_inputs: int, gate_index: int) -> InputSource:

@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 from collections import Counter
 
 import pytest
@@ -24,7 +26,6 @@ from nandevolve.netlist import (
     TruthTable,
     fitness,
     genome_from_ids,
-    sources,
     truth_table_of,
 )
 
@@ -82,7 +83,7 @@ class TestRandomSource:
     def test_is_one_draw_from_the_allele_table(self, n):
         # every gene of a fresh genome is one randrange over its gate's allele table
         num_gates = 5
-        table = sources(n, n + num_gates - 1)
+        table = reference_ga.sources(n, n + num_gates - 1)
         for k, src in enumerate(table):
             assert src == (InputSource.external(k) if k < n else InputSource.gate(k - n))
         rng, twin = random.Random(n), random.Random(n)
@@ -129,7 +130,9 @@ class TestRandomGenome:
     def test_rejects_bad_shape_before_drawing(self, num_inputs, num_gates, field):
         rng = random.Random(4)
         state = rng.getstate()
-        with pytest.raises(ValueError, match=f"^{field}: expected an integer >= 1"):
+        # num_inputs has NandGenome's upper bound, num_gates none
+        bounds = f"in [1, {sys.maxsize + 1})" if field == "num_inputs" else ">= 1"
+        with pytest.raises(ValueError, match=f"^{field}: expected an integer {re.escape(bounds)}, got "):
             random_genome(rng, num_inputs, num_gates)
         assert rng.getstate() == state
 

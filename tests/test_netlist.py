@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -273,6 +274,34 @@ def test_messages_show_a_huge_int(error, start, call):
 def test_an_integer_literal_over_the_digit_limit_is_format_error(parse, text):
     with pytest.raises(FormatError, match=r"^invalid JSON: an integer literal is longer than \d+ digits$"):
         parse(text % ("1" * 5001))
+
+
+@pytest.mark.parametrize("parse", [parse_json, parse_spec], ids=["parse_json", "parse_spec"])
+@pytest.mark.parametrize("doc", [5, None, []], ids=["int", "None", "list"])
+def test_a_document_that_is_not_text_is_format_error(parse, doc):
+    text = f"invalid JSON: expected a str, bytes or bytearray document, got {type(doc).__name__}"
+    with pytest.raises(FormatError) as info:
+        parse(doc)
+    assert str(info.value) == text
+
+
+@pytest.mark.parametrize("error,call", [
+    (StructureError, lambda v: NandGenome(v, ((x(0), x(1)),))),
+    (ValueError, lambda v: random_genome(random.Random(0), v, 1)),
+], ids=["NandGenome", "random_genome"])
+def test_num_inputs_is_below_2_to_the_63(error, call):
+    with pytest.raises(error) as info:
+        call(2**63)
+    assert type(info.value) is error
+    assert str(info.value) == f"num_inputs: expected an integer in [1, {2**63}), got {2**63}"
+    assert call(sys.maxsize).num_inputs == sys.maxsize
+
+
+def test_the_widest_genome_can_be_printed():
+    circuit = NandGenome(sys.maxsize, ((x(0), x(1)),))
+    assert canonical_key(circuit) == f"{sys.maxsize}|x0.x1".encode()
+    assert json.loads(export_json(circuit))["inputs"] == sys.maxsize
+    assert repr(circuit) == f"NandGenome(num_inputs={sys.maxsize}, gates=((x0, x1),))"
 
 
 class TestFitness:

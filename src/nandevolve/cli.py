@@ -28,6 +28,7 @@ from .netlist import (
     FormatError,
     StructureError,
     TruthTable,
+    _genome_doc,
     export_dot,
     export_json,
     parse_json,
@@ -191,7 +192,7 @@ def cmd_oracle(args) -> int:
     doc = {
         "target": target.rows,
         "minimal_gates": result.minimal_gates,
-        "witness": json.loads(export_json(result.witness)) if result.witness else None,
+        "witness": _genome_doc(result.witness) if result.witness else None,
         "raw_count": result.raw_count,
         "canonical_count": result.canonical_count,
     }

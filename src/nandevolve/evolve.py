@@ -10,11 +10,10 @@ member realizes the target exactly.
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import dataclass
 
-from .netlist import (ArityError, NandGenome, TruthTable, _show, gene_sizes, genome_from_ids,
-                      genome_ids, require_int, require_rate, require_table, scorer)
+from .netlist import (_INPUTS_LIMIT, ArityError, NandGenome, TruthTable, _show, gene_sizes,
+                      genome_from_ids, genome_ids, require_int, require_rate, require_table, scorer)
 
 # Seeds are unsigned 64-bit integers.
 SEED_LIMIT = 2**64
@@ -108,7 +107,7 @@ def _next_generation(population: list[list[int]], fits: list[float], rng: random
 
 def random_genome(rng: random.Random, num_inputs: int, num_gates: int) -> NandGenome:
     """Genome with every gene drawn uniformly and independently."""
-    require_int("num_inputs", num_inputs, 1, sys.maxsize + 1)  # NandGenome's bound
+    require_int("num_inputs", num_inputs, 1, _INPUTS_LIMIT)
     require_int("num_gates", num_gates, 1)
     return genome_from_ids(num_inputs, _random_ids(rng, gene_sizes(num_inputs, num_gates)))
 

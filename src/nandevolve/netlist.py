@@ -19,6 +19,9 @@ from itertools import repeat
 # assignment i), so arity is capped where 2^n rows stay enumerable.
 MAX_INPUTS = 16
 
+# Bound on num_inputs: no list is indexed past sys.maxsize, and it prints.
+_INPUTS_LIMIT = sys.maxsize + 1
+
 EXTERNAL = "external"
 GATE = "gate"
 
@@ -75,9 +78,9 @@ def require_rate(name: str, value) -> float:
 
 
 def _load_json(text: str):
-    """json.loads, with every malformed document a FormatError: a syntax
-    error names its position, an integer literal over Python's int-to-str
-    digit limit (a bare ValueError from json) is named too, and so is a
+    """json.loads, with every malformed document a FormatError naming its
+    cause: a syntax error's position, undecodable bytes, an integer literal
+    over Python's int-to-str digit limit (a bare ValueError from json) or a
     document that is not text (a bare TypeError from json)."""
     try:
         return json.loads(text)
@@ -87,6 +90,8 @@ def _load_json(text: str):
         ) from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"invalid JSON: byte {exc.start} is not {exc.encoding} text ({exc.reason})") from None
     except ValueError:
         raise FormatError(
             f"invalid JSON: an integer literal is longer than {sys.get_int_max_str_digits()} digits"
@@ -138,9 +143,7 @@ class NandGenome:
 
     def __post_init__(self):
         n = self.num_inputs
-        # No list can be indexed past sys.maxsize, and the bound keeps every
-        # index short enough to print.
-        require_int("num_inputs", n, 1, sys.maxsize + 1, error=StructureError)
+        require_int("num_inputs", n, 1, _INPUTS_LIMIT, error=StructureError)
         gates = self.gates
         if not isinstance(gates, (tuple, list)):
             raise StructureError(f"gates: expected a sequence of gate pairs, got {_show(gates)}")
@@ -294,17 +297,16 @@ def input_masks(num_inputs: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def ids_output(ids, inputs, full: int) -> int:
-    """Output of the circuit wired by allele ids `ids` (see _source) when
-    external input k carries inputs[k]: `values` starts as the inputs and
-    gains one value per gate, so an allele id indexes it directly. Values
-    are bitmasks over many assignments (full = 2^rows - 1) or single bits
-    (full = 1)."""
+def ids_tables(ids, inputs, full: int) -> list[int]:
+    """Values of the circuit wired by allele ids `ids` (see _source) when
+    input k carries inputs[k]: the inputs, then one per gate (the output
+    last), so an allele id indexes the list. Values are bitmasks over many
+    assignments (full = 2^rows - 1) or single bits (full = 1)."""
     values = list(inputs)
     pairs = iter(ids)
     for a, b in zip(pairs, pairs):
         values.append(~(values[a] & values[b]) & full)
-    return values[-1]
+    return values
 
 
 def scorer(target: TruthTable) -> Callable[[list[int]], float]:
@@ -316,7 +318,7 @@ def scorer(target: TruthTable) -> Callable[[list[int]], float]:
     inputs = input_masks(target.num_inputs)
 
     def score(ids) -> float:
-        return (rows - (ids_output(ids, inputs, full) ^ wanted).bit_count()) / rows
+        return (rows - (ids_tables(ids, inputs, full)[-1] ^ wanted).bit_count()) / rows
 
     return score
 
@@ -325,7 +327,7 @@ def output_mask(genome: NandGenome) -> int:
     """Truth table of the genome's output gate, packed as an int bitmask."""
     n = genome.num_inputs
     _check_arity(n)
-    return ids_output(genome_ids(genome), input_masks(n), (1 << (1 << n)) - 1)
+    return ids_tables(genome_ids(genome), input_masks(n), (1 << (1 << n)) - 1)[-1]
 
 
 def evaluate(genome: NandGenome, assignment) -> int:
@@ -338,7 +340,7 @@ def evaluate(genome: NandGenome, assignment) -> int:
         raise ArityError(f"assignment has {size} bits, genome expects {_show(genome.num_inputs)}")
     if any(v not in (0, 1) for v in assignment):
         raise ValueError(f"assignment: expected bits 0 or 1, got {_show(assignment)}")
-    return ids_output(genome_ids(genome), [1 if v else 0 for v in assignment], 1)
+    return ids_tables(genome_ids(genome), [1 if v else 0 for v in assignment], 1)[-1]
 
 
 def truth_table_of(genome: NandGenome) -> TruthTable:
@@ -395,17 +397,16 @@ def canonical_key(genome: NandGenome) -> bytes:
     return "|".join(parts).encode("ascii")
 
 
-def _source_doc(src: InputSource) -> dict:
-    return {"type": src.kind, "index": src.index}
+def _genome_doc(genome: NandGenome) -> dict:
+    return {
+        "inputs": genome.num_inputs,
+        "gates": [[{"type": src.kind, "index": src.index} for src in pair] for pair in genome.gates],
+    }
 
 
 def export_json(genome: NandGenome) -> str:
     """Render the genome in the JSON netlist format (see parse_json)."""
-    doc = {
-        "inputs": genome.num_inputs,
-        "gates": [[_source_doc(a), _source_doc(b)] for a, b in genome.gates],
-    }
-    return json.dumps(doc, indent=2)
+    return json.dumps(_genome_doc(genome), indent=2)
 
 
 def _parse_source(obj, where: str) -> InputSource:

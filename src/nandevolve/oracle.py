@@ -1,6 +1,6 @@
 """Exhaustive ground truth over the feed-forward genome space.
 
-Walks every valid genome at a given gate count (lexicographic gene order,
+Covers every valid genome at a given gate count (lexicographic gene order,
 externals before gate outputs) to find minimal realizations of a target,
 count its solutions, and independently verify GA results.
 """
@@ -13,12 +13,14 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .netlist import (
+    _INPUTS_LIMIT,
     CapacityError,
     NandGenome,
     TruthTable,
     _show,
     gene_sizes,
     genome_from_ids,
+    ids_tables,
     input_masks,
     require_int,
     require_table,
@@ -35,7 +37,7 @@ def genome_count(num_inputs: int, num_gates: int) -> int:
 def _check_budget(num_inputs: int, num_gates: int, budget: int):
     """Refuse (CapacityError) at the first gate count up to num_gates whose
     space exceeds the budget, before any larger space is multiplied out."""
-    require_int("num_inputs", num_inputs, 1)
+    require_int("num_inputs", num_inputs, 1, _INPUTS_LIMIT)
     require_int("num_gates", num_gates, 1)
     require_int("budget", budget, 1)
     for gates in range(1, num_gates + 1):
@@ -56,37 +58,6 @@ def enumerate_genomes(num_inputs: int, num_gates: int,
     _check_budget(num_inputs, num_gates, budget)
     return (genome_from_ids(num_inputs, ids)
             for ids in itertools.product(*map(range, gene_sizes(num_inputs, num_gates))))
-
-
-def _scan_solutions(num_inputs: int, num_gates: int, target_mask: int) -> Iterator[tuple[int, ...]]:
-    """Allele-id tuples (lex order) of genomes whose output table equals
-    target_mask. Tables are tracked incrementally as int bitmasks, so only
-    the matching leaves are materialized."""
-    full = (1 << (1 << num_inputs)) - 1
-    tables = list(input_masks(num_inputs))
-    genes = [0] * (2 * num_gates)
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        size = num_inputs + i
-        if i == num_gates - 1:
-            for a in range(size):
-                ta = tables[a]
-                for b in range(size):
-                    if ~(ta & tables[b]) & full == target_mask:
-                        genes[2 * i] = a
-                        genes[2 * i + 1] = b
-                        yield tuple(genes)
-        else:
-            for a in range(size):
-                ta = tables[a]
-                for b in range(size):
-                    genes[2 * i] = a
-                    genes[2 * i + 1] = b
-                    tables.append(~(ta & tables[b]) & full)
-                    yield from rec(i + 1)
-                    tables.pop()
-
-    return rec(0)
 
 
 @dataclass(frozen=True)
@@ -117,16 +88,31 @@ def _solve_level(target: TruthTable, num_gates: int) -> tuple[tuple[int, ...] | 
     count, all-live count) of the genomes with exactly num_gates gates
     realizing target. A solution is all-live when every inner gate id
     n .. n+num_gates-2 occurs among its ids: each inner gate then feeds a
-    later gate, so every gate is reachable backward from the output."""
+    later gate, so every gate is reachable backward from the output.
+
+    Each prefix (the first num_gates-1 gates, in enumerate_genomes' order)
+    is walked once. The output gate NAND(u, v) is the target exactly when
+    u & v == zeros, the target's zero rows, so only tables covering zeros
+    are paired."""
     n = target.num_inputs
+    full = (1 << (1 << n)) - 1
+    zeros = full ^ target.mask
+    inputs = input_masks(n)
     inner = frozenset(range(n, n + num_gates - 1))
     first = None
     raw = live = 0
-    for ids in _scan_solutions(n, num_gates, target.mask):
-        if first is None:
-            first = ids
-        raw += 1
-        live += inner.issubset(ids)
+    for prefix in itertools.product(*map(range, gene_sizes(n, num_gates - 1))):
+        tables = ids_tables(prefix, inputs, full)
+        cover = [k for k, t in enumerate(tables) if t & zeros == zeros]
+        for a in cover:
+            ta = tables[a]
+            for b in cover:
+                if ta & tables[b] == zeros:
+                    ids = (*prefix, a, b)
+                    if first is None:
+                        first = ids
+                    raw += 1
+                    live += inner.issubset(ids)
     return first, raw, live
 
 

@@ -1,6 +1,6 @@
 """Object-level reference circuit walks: the implementations
 `nandevolve.netlist` used before its walk and its dead-gate prune moved to
-allele-id lists (`ids_output`, `prune_ids`).
+allele-id lists (`ids_tables`, `prune_ids`).
 
 Each function here walks `InputSource` objects gate by gate. The
 differential tests in test_netlist.py and the oracle cross-checks in

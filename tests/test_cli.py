@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,9 @@ from nandevolve.cli import main
 from nandevolve.netlist import export_json, parse_json, truth_table_of
 
 from conftest import g, genome, x
+
+# exact stdout of `oracle`: a change to the scan must keep these bytes
+GOLDEN = Path(__file__).with_name("golden")
 
 
 def run_cli(capsys, *argv):
@@ -239,6 +243,15 @@ class TestOracle:
         doc = json.loads(out)
         assert doc["minimal_gates"] is None
         assert doc["witness"] is None
+
+    @pytest.mark.parametrize("target,max_gates,golden", [
+        ("xnor", "6", "oracle-xnor-6.json"),
+        ("tt:01101001", "3", "oracle-tt01101001-3.json"),
+    ])
+    def test_stdout_matches_golden_bytes(self, capsys, target, max_gates, golden):
+        code, out, _ = run_cli(capsys, "oracle", "--target", target, "--max-gates", max_gates)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
 
     def test_budget_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--target", "and", "--max-gates", "9")

@@ -255,8 +255,9 @@ def test_one_integer_rule(where, field, minimum, error, call, value):
     (ValueError, "num_gates: ", lambda: count_solutions(AND, -HUGE)),
     (ValueError, "budget: ", lambda: minimal_gates(AND, 1, budget=-HUGE)),
     (ValueError, "assignment: ", lambda: evaluate(genome(2, (x(0), x(1))), [HUGE, 0])),
-    (CapacityError, "<int too long to show> genomes at 1 gates exceeds the budget of ",
-     lambda: enumerate_genomes(10**4400, 1, budget=10**4400)),
+    # num_inputs stays below 2**63, so only many gates make the count too long
+    (CapacityError, "<int too long to show> genomes at 118 gates exceeds the budget of ",
+     lambda: enumerate_genomes(2**62, 200, budget=10**4400)),
 ])
 def test_messages_show_a_huge_int(error, start, call):
     # repr of an int over 4300 digits raises ValueError; the message must
@@ -285,6 +286,16 @@ def test_a_document_that_is_not_text_is_format_error(parse, doc):
     assert str(info.value) == text
 
 
+@pytest.mark.parametrize("parse", [parse_json, parse_spec], ids=["parse_json", "parse_spec"])
+@pytest.mark.parametrize("doc,start", [
+    (b'{"a": "\xff\xfe\xfa"}', "byte 7 is not utf-8 text"),
+    ('{"inputs": 1}'.encode("utf-16-le")[:-1], "byte 24 is not utf-16-le text"),
+], ids=["utf-8", "utf-16-le"])
+def test_bytes_that_do_not_decode_are_format_error(parse, doc, start):
+    with pytest.raises(FormatError, match=f"^invalid JSON: {start} "):
+        parse(doc)
+
+
 @pytest.mark.parametrize("error,call", [
     (StructureError, lambda v: NandGenome(v, ((x(0), x(1)),))),
     (ValueError, lambda v: random_genome(random.Random(0), v, 1)),
@@ -295,6 +306,14 @@ def test_num_inputs_is_below_2_to_the_63(error, call):
     assert type(info.value) is error
     assert str(info.value) == f"num_inputs: expected an integer in [1, {2**63}), got {2**63}"
     assert call(sys.maxsize).num_inputs == sys.maxsize
+
+
+def test_enumerate_genomes_keeps_the_num_inputs_bound():
+    # a budget this large admits the space, so only the bound refuses it
+    with pytest.raises(ValueError) as info:
+        enumerate_genomes(2**63, 1, budget=2**200)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"num_inputs: expected an integer in [1, {2**63}), got {2**63}"
 
 
 def test_the_widest_genome_can_be_printed():

@@ -109,8 +109,11 @@ class TestCountSolutions:
 
 
 # Every table of 1, 2 and 3 inputs, at every gate count whose space is
-# enumerated here in well under a second.
-SPACES = [(1, 5), (2, 4), (3, 3)]
+# enumerated here in well under a second. At 4 inputs, looping over all
+# 65 536 tables is too slow: the 143 tables that 3 gates realize are
+# checked, and AND and parity of 4 inputs, which they do not.
+SPACES = [(1, 5), (2, 4), (3, 3), (4, 3)]
+UNREALIZED_4 = (0x8000, 0x6996)
 
 
 class TestEveryTable:
@@ -121,7 +124,12 @@ class TestEveryTable:
         for gates in range(1, max_gates + 1):
             for circuit in enumerate_genomes(n, gates):
                 found.setdefault((truth_table_of(circuit), gates), []).append(circuit)
-        for mask in range(1 << (1 << n)):
+        masks = range(1 << (1 << n))
+        if n == 4:
+            realized = {table.mask for table, _ in found}
+            assert len(realized) == 143 and realized.isdisjoint(UNREALIZED_4)
+            masks = sorted(realized.union(UNREALIZED_4))
+        for mask in masks:
             target = TruthTable.from_mask(n, mask)
             for gates in range(1, max_gates + 1):
                 solutions = found.get((target, gates), [])

@@ -14,8 +14,8 @@ import statistics
 from dataclasses import dataclass, fields, replace
 
 from .evolve import SEED_LIMIT, GaConfig, run_evolution
-from .netlist import (FormatError, NandGenome, TruthTable, _load_json, canonical_key, require_int,
-                      require_table)
+from .netlist import (FormatError, NandGenome, TruthTable, _load_json, _show, canonical_key,
+                      require_int, require_table)
 
 # Minimal NAND-gate counts per two-input target, used by the default
 # experiment (and / or / nor / xor / xnor at 2/3/4/4/5 gates).
@@ -34,10 +34,10 @@ CSV_COLUMNS = [
 class ExperimentEntry:
     """One batch: `runs` seeded evolutions of the same target and config.
 
-    Every field the batch needs is checked when the entry is built: `target`
-    (a TruthTable), `runs`, the run seeds base_seed .. base_seed + runs - 1
-    (all below SEED_LIMIT), and the GA fields through run 0's GaConfig, whose
-    float rate is kept.
+    Every field the batch needs is checked when the entry is built: `label`
+    (a str), `target` (a TruthTable), `runs`, the run seeds base_seed ..
+    base_seed + runs - 1 (all below SEED_LIMIT), and the GA fields through
+    run 0's GaConfig, whose float rate is kept.
     Each ValueError starts with the field name.
     """
 
@@ -51,6 +51,8 @@ class ExperimentEntry:
     max_generations: int = GaConfig.max_generations
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ValueError(f"label: expected a string, got {_show(self.label)}")
         require_table(self.target)
         require_int("runs", self.runs, 1)
         require_int("base_seed", self.base_seed, 0, SEED_LIMIT - self.runs + 1)
@@ -196,6 +198,11 @@ def to_table(reports: tuple[EntryReport, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _escape(text: str) -> str:
+    """xml.sax.saxutils.escape without its import (urllib, about 40 ms)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def to_svg(reports: tuple[EntryReport, ...]) -> str:
     """Bar chart of mean generations per entry with stddev whiskers.
 
@@ -233,7 +240,7 @@ def to_svg(reports: tuple[EntryReport, ...]) -> str:
             )
         parts.append(
             f'<text x="{x + bar_w / 2:.2f}" y="{height - bottom + 16}" '
-            f'font-size="11" text-anchor="middle">{er.entry.label}</text>'
+            f'font-size="11" text-anchor="middle">{_escape(er.entry.label)}</text>'
         )
         parts.append(
             f'<text x="{x + bar_w / 2:.2f}" y="{y - 4:.2f}" '

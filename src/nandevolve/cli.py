@@ -94,8 +94,8 @@ def build_parser() -> _Parser:
         p.add_argument(flag, dest=field, type=kind, default=getattr(GaConfig, field),
                        help=f"{what} (default %(default)s)")
     p.add_argument("--seed", type=int, default=GaConfig.seed, help="RNG seed (default %(default)s)")
-    p.add_argument("--trace", action="store_true",
-                   help="emit per-generation CSV (generation,best_fitness,mean_fitness) on stderr")
+    p.add_argument("--trace", dest="trace_rows", action="store_true",
+                   help="stream per-generation CSV (generation,best_fitness,mean_fitness) to stderr")
     p.add_argument("--export-json", metavar="PATH", help="write the solution netlist JSON here instead of stdout")
     p.add_argument("--export-dot", metavar="PATH", help="write a Graphviz rendering of the solution")
     p.set_defaults(func=cmd_evolve)
@@ -129,6 +129,11 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _print_row(generation: int, best_fitness: float, mean_fitness: float):
+    """One --trace CSV row on stderr, written as its generation is scored."""
+    print(f"{generation},{best_fitness},{mean_fitness}", file=sys.stderr)
+
+
 def cmd_evolve(args) -> int:
     label = args.target.lower()
     target = TruthTable.parse(label)
@@ -137,11 +142,9 @@ def cmd_evolve(args) -> int:
         raise _UsageError("--gates is required for a tt: target")
     ga_fields = {field: getattr(args, field) for _, field, _, _ in _GA_FLAGS}
     config = GaConfig(gates, seed=args.seed, **ga_fields)
-    outcome = run_evolution(config, target, trace=args.trace)
-    if args.trace:
+    if args.trace_rows:
         print("generation,best_fitness,mean_fitness", file=sys.stderr)
-        for point in outcome.trace:
-            print(f"{point.generation},{point.best_fitness},{point.mean_fitness}", file=sys.stderr)
+    outcome = run_evolution(config, target, _print_row if args.trace_rows else None)
     if not outcome.solved:
         print(
             f"exhausted at generation {outcome.generations}; "

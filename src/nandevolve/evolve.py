@@ -10,6 +10,7 @@ member realizes the target exactly.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .netlist import (_INPUTS_LIMIT, ArityError, NandGenome, TruthTable, _show, gene_sizes,
@@ -44,19 +45,15 @@ class GaConfig:
         return (1.0 - self.mutation_rate) / 2.0
 
 
+def _require_config(config) -> None:
+    if not isinstance(config, GaConfig):
+        raise ValueError(f"config: expected a GaConfig, got {_show(config)}")
+
+
 @dataclass(frozen=True)
 class Individual:
     genome: NandGenome
     fitness: float
-
-
-@dataclass(frozen=True)
-class GenPoint:
-    """One trace row: population fitness summary at a generation."""
-
-    generation: int
-    best_fitness: float
-    mean_fitness: float
 
 
 @dataclass(frozen=True)
@@ -74,7 +71,6 @@ class RunOutcome:
     generations: int
     genome: NandGenome | None
     best: Individual
-    trace: tuple[GenPoint, ...] | None = None
 
 
 def _random_ids(rng: random.Random, sizes: tuple[int, ...]) -> list[int]:
@@ -136,6 +132,7 @@ def step_generation(population: list[Individual], target: TruthTable,
     reinitialized randomly instead. It returns config.population_size
     children, whatever the size of the population given.
     """
+    _require_config(config)
     require_table(target)
     n, num_gates = target.num_inputs, config.num_gates
     for ind in population:
@@ -149,31 +146,36 @@ def step_generation(population: list[Individual], target: TruthTable,
     return [Individual(genome_from_ids(n, ids), score(ids)) for ids in children]
 
 
-def run_evolution(config: GaConfig, target: TruthTable, trace: bool = False) -> RunOutcome:
+def run_evolution(config: GaConfig, target: TruthTable,
+                  on_generation: Callable[[int, float, float], object] | None = None) -> RunOutcome:
     """Evolve until some member has fitness 1 or max_generations is reached.
 
     The initial random population is generation 0 and is checked before any
-    breeding, so a lucky initialization reports generation 0. All randomness
-    comes from one stream seeded with config.seed; identical inputs give a
-    bit-identical outcome, trace included. Members are allele-id lists (see
+    breeding, so a lucky initialization reports generation 0. If given,
+    on_generation(generation, best_fitness, mean_fitness) is called once per
+    scored generation, before the next one is bred. All randomness comes
+    from one stream seeded with config.seed; identical inputs give a
+    bit-identical outcome and calls. Members are allele-id lists (see
     netlist._source); only the genomes returned are built as NandGenome.
     """
+    _require_config(config)
     require_table(target)
+    if on_generation is not None and not callable(on_generation):
+        raise ValueError(f"on_generation: expected a callable or None, got {_show(on_generation)}")
     n, size = target.num_inputs, config.population_size
     sizes = gene_sizes(n, config.num_gates)
     split = config.crossover_split
     score = scorer(target)
     rng = random.Random(config.seed)
     population = [_random_ids(rng, sizes) for _ in range(size)]
-    points: list[GenPoint] | None = [] if trace else None
     best_ids: list[int] = []
     best_fitness = -1.0
     generation = 0
     while True:
         fits = [score(ids) for ids in population]
         top = max(fits)
-        if points is not None:
-            points.append(GenPoint(generation, top, sum(fits) / len(fits)))
+        if on_generation is not None:
+            on_generation(generation, top, sum(fits) / len(fits))
         # The first member reaching a new best wins ties: earliest
         # generation, then lowest index.
         if top > best_fitness:
@@ -186,7 +188,6 @@ def run_evolution(config: GaConfig, target: TruthTable, trace: bool = False) -> 
                 generations=generation,
                 genome=best.genome if solved else None,
                 best=best,
-                trace=tuple(points) if points is not None else None,
             )
         population = _next_generation(population, fits, rng, sizes, split, size)
         generation += 1

@@ -3,7 +3,8 @@ before its generation loop moved to flat allele-id lists.
 
 Every child here is a validated `NandGenome` scored through `fitness`. The
 differential tests in test_evolve.py require the allele-id core to agree
-with it exactly: same outcomes, same traces, same RNG state afterwards.
+with it exactly: same outcomes, same per-generation rows, same RNG state
+afterwards.
 The functions below are kept as they were; do not optimise them.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from nandevolve.evolve import GaConfig, GenPoint, Individual, RunOutcome
+from nandevolve.evolve import GaConfig, Individual, RunOutcome
 from nandevolve.netlist import ArityError, InputSource, NandGenome, TruthTable, fitness
 
 
@@ -94,41 +95,29 @@ def step_generation(population: list[Individual], target: TruthTable,
     return children
 
 
-def run_evolution(config: GaConfig, target: TruthTable, trace: bool = False) -> RunOutcome:
+def run_evolution(config: GaConfig, target: TruthTable, on_generation=None) -> RunOutcome:
     """Evolve until some member has fitness 1 or max_generations is reached.
 
     The initial random population is generation 0 and is checked before any
-    breeding, so a lucky initialization reports generation 0. All randomness
-    comes from one stream seeded with config.seed; identical inputs give a
-    bit-identical outcome, trace included.
+    breeding, so a lucky initialization reports generation 0. If given,
+    on_generation(generation, best_fitness, mean_fitness) is called once per
+    scored generation. All randomness comes from one stream seeded with
+    config.seed; identical inputs give a bit-identical outcome and calls.
     """
     rng = random.Random(config.seed)
     population = _fresh_population(rng, target, config)
-    points: list[GenPoint] | None = [] if trace else None
     best: Individual | None = None
     generation = 0
     while True:
-        if points is not None:
+        if on_generation is not None:
             fits = [ind.fitness for ind in population]
-            points.append(GenPoint(generation, max(fits), sum(fits) / len(fits)))
+            on_generation(generation, max(fits), sum(fits) / len(fits))
         for ind in population:
             if ind.fitness == 1.0:
-                return RunOutcome(
-                    solved=True,
-                    generations=generation,
-                    genome=ind.genome,
-                    best=ind,
-                    trace=tuple(points) if points is not None else None,
-                )
+                return RunOutcome(solved=True, generations=generation, genome=ind.genome, best=ind)
             if best is None or ind.fitness > best.fitness:
                 best = ind
         if generation == config.max_generations:
-            return RunOutcome(
-                solved=False,
-                generations=generation,
-                genome=None,
-                best=best,
-                trace=tuple(points) if points is not None else None,
-            )
+            return RunOutcome(solved=False, generations=generation, genome=None, best=best)
         population = step_generation(population, target, rng, config)
         generation += 1

@@ -216,8 +216,14 @@ class TestC6Properties:
             return buf.getvalue()
 
         evolve_same = evolve_stdout() == evolve_stdout()
-        outcome_a = run_evolution(GaConfig(num_gates=5, seed=11), TruthTable.named("xnor"), trace=True)
-        outcome_b = run_evolution(GaConfig(num_gates=5, seed=11), TruthTable.named("xnor"), trace=True)
+
+        def evolve_traced():
+            rows = []
+            outcome = run_evolution(GaConfig(num_gates=5, seed=11), TruthTable.named("xnor"),
+                                    lambda *row: rows.append(row))
+            return outcome, rows
+
+        outcome_a, outcome_b = evolve_traced(), evolve_traced()
         spec = default_experiment_spec(base_seed=BASE_SEED, runs=2, max_generations=MAX_GEN)
         bench_same = to_csv(run_experiment(spec)) == to_csv(run_experiment(spec))
         check("criterion 6g (seed determinism, evolve and bench outputs byte-exact)",

@@ -1,6 +1,8 @@
 import csv
 import io
+import re
 import statistics
+from xml.etree import ElementTree
 
 import pytest
 
@@ -107,6 +109,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="^population_size: "):
             ExperimentEntry("and", TruthTable.named("and"), 2, population_size=1, runs=2)
 
+    @pytest.mark.parametrize("label", [None, 5, b"and"])
+    def test_label_must_be_a_string(self, label):
+        with pytest.raises(ValueError, match=f"^label: expected a string, got {re.escape(repr(label))}$"):
+            ExperimentEntry(label, TruthTable.named("and"), 2)
+
     def test_distinct_solutions_are_sound(self):
         er = run_entry(ExperimentEntry("or", TruthTable.named("or"), 3, runs=10, base_seed=42))
         keys = set()
@@ -185,6 +192,12 @@ class TestRendering:
     def test_svg_handles_empty_report(self):
         svg = to_svg(run_experiment(()))
         assert "<svg" in svg
+
+    def test_svg_escapes_the_label(self):
+        entry = ExperimentEntry("a<b&c", TruthTable.named("and"), 2, runs=2)
+        root = ElementTree.fromstring(to_svg(run_experiment((entry,))))
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "a<b&c" in texts
 
 
 class TestParseSpec:

@@ -11,7 +11,8 @@ from nandevolve.netlist import export_json, parse_json, truth_table_of
 
 from conftest import g, genome, x
 
-# exact stdout of `oracle`: a change to the scan must keep these bytes
+# exact stdout of `oracle` and exact stdout and stderr of `evolve --trace`:
+# a change to the oracle scan or the GA loop must keep these bytes
 GOLDEN = Path(__file__).with_name("golden")
 
 
@@ -87,6 +88,17 @@ class TestEvolve:
         assert lines[0] == "generation,best_fitness,mean_fitness"
         assert len(lines) >= 2
         assert lines[1].startswith("0,")
+
+    @pytest.mark.parametrize("argv,exit_code,golden", [
+        (("--target", "xor", "--seed", "7"), 0, "evolve-xor-seed7"),
+        (("--target", "tt:00010111", "--gates", "6", "--seed", "2", "--max-gen", "40"), 2,
+         "evolve-tt00010111-6-seed2"),
+    ])
+    def test_trace_matches_golden_bytes(self, capsys, argv, exit_code, golden):
+        code, out, err = run_cli(capsys, "evolve", *argv, "--trace")
+        assert code == exit_code
+        assert out == (GOLDEN / f"{golden}.stdout").read_text()
+        assert err == (GOLDEN / f"{golden}.stderr").read_text()
 
     def test_missing_gates_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "evolve", "--target", "tt:0110")

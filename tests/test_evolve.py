@@ -206,6 +206,13 @@ def evaluated(circuit, target):
     return Individual(circuit, fitness(circuit, target))
 
 
+def traced(run, config, target):
+    """(outcome, rows) of one run, each row the on_generation arguments."""
+    rows = []
+    outcome = run(config, target, lambda *row: rows.append(row))
+    return outcome, rows
+
+
 class TestStepGeneration:
     def test_population_size_preserved(self):
         target = TruthTable.named("xor")
@@ -286,11 +293,57 @@ class TestRunEvolution:
     def test_seed_determinism_including_trace(self):
         cfg = GaConfig(num_gates=4, seed=77)
         target = TruthTable.named("xor")
-        first = run_evolution(cfg, target, trace=True)
-        second = run_evolution(cfg, target, trace=True)
-        assert first == second
-        assert first.trace is not None and len(first.trace) == first.generations + 1
-        assert first.trace[-1].best_fitness == 1.0
+        first, rows = traced(run_evolution, cfg, target)
+        assert (first, rows) == traced(run_evolution, cfg, target)
+        assert [row[0] for row in rows] == list(range(first.generations + 1))
+        assert rows[-1][1] == 1.0
+
+    def test_rows_stream_while_the_run_goes(self, monkeypatch):
+        # parity3 at 8 gates: no solution within the first four generations.
+        # Each row comes after exactly `generation` breeding steps, and an
+        # exception from the callback stops the run at once.
+        cfg = GaConfig(num_gates=8, seed=1, max_generations=50)
+        target = TruthTable(3, "01101001")
+        bred, calls = [], []
+        real_next = evolve_mod._next_generation
+
+        def counting_next(*args):
+            bred.append(None)
+            return real_next(*args)
+
+        class Stop(Exception):
+            pass
+
+        def stop_at_three(generation, best_fitness, mean_fitness):
+            calls.append((generation, len(bred)))
+            if generation == 3:
+                raise Stop
+
+        monkeypatch.setattr(evolve_mod, "_next_generation", counting_next)
+        with pytest.raises(Stop):
+            run_evolution(cfg, target, stop_at_three)
+        assert calls == [(0, 0), (1, 1), (2, 2), (3, 3)] and len(bred) == 3
+        outcome, rows = traced(run_evolution, cfg, target)
+        assert outcome.generations > 3 and [row[0] for row in rows[:4]] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("on_generation", [True, "x"])
+    def test_on_generation_must_be_callable(self, on_generation):
+        with pytest.raises(ValueError, match=f"^on_generation: expected a callable or None, "
+                                             f"got {re.escape(repr(on_generation))}$"):
+            run_evolution(GaConfig(num_gates=2), TruthTable.named("and"), on_generation)
+
+    @pytest.mark.parametrize("config", [None, "x", {"num_gates": 2}])
+    def test_config_must_be_a_gaconfig(self, config):
+        # checked before any RNG draw, like the target
+        target = TruthTable.named("and")
+        message = f"^config: expected a GaConfig, got {re.escape(repr(config))}$"
+        with pytest.raises(ValueError, match=message):
+            run_evolution(config, target)
+        rng = random.Random(4)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=message):
+            step_generation([evaluated(genome(2, (x(0), x(1))), target)], target, rng, config)
+        assert rng.getstate() == state
 
     def test_different_seeds_differ(self):
         target = TruthTable.named("xnor")
@@ -373,7 +426,10 @@ class TestMatchesReference:
                            max_generations, seed, trace):
         cfg = GaConfig(num_gates=num_gates, population_size=population_size,
                        mutation_rate=mutation_rate, max_generations=max_generations, seed=seed)
-        assert run_evolution(cfg, target, trace) == reference_ga.run_evolution(cfg, target, trace)
+        if trace:
+            assert traced(run_evolution, cfg, target) == traced(reference_ga.run_evolution, cfg, target)
+        else:
+            assert run_evolution(cfg, target) == reference_ga.run_evolution(cfg, target)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=seeds, num_inputs=arities, num_gates=gate_counts)

@@ -14,12 +14,11 @@ import statistics
 from dataclasses import dataclass, fields, replace
 
 from .evolve import SEED_LIMIT, GaConfig, run_evolution
-from .netlist import (FormatError, NandGenome, TruthTable, _load_json, _show, canonical_key,
-                      require_int, require_table)
+from .netlist import (_PRESETS, FormatError, NandGenome, TruthTable, _load_json, _show,
+                      canonical_key, require_int, require_type)
 
-# Minimal NAND-gate counts per two-input target, used by the default
-# experiment (and / or / nor / xor / xnor at 2/3/4/4/5 gates).
-DEFAULT_GATES = {"and": 2, "or": 3, "nor": 4, "xor": 4, "xnor": 5, "nand": 1}
+# Each named target's minimal NAND-gate count, read from netlist._PRESETS.
+DEFAULT_GATES = {name: gates for name, (_, gates) in _PRESETS.items()}
 
 DEFAULT_TARGET_ORDER = ("and", "or", "nor", "xor", "xnor")
 
@@ -53,7 +52,7 @@ class ExperimentEntry:
     def __post_init__(self):
         if not isinstance(self.label, str):
             raise ValueError(f"label: expected a string, got {_show(self.label)}")
-        require_table(self.target)
+        require_type("target", self.target, TruthTable)
         require_int("runs", self.runs, 1)
         require_int("base_seed", self.base_seed, 0, SEED_LIMIT - self.runs + 1)
         object.__setattr__(self, "mutation_rate", self.config_for_run(0).mutation_rate)
@@ -111,6 +110,7 @@ def default_experiment_spec(**fields) -> tuple[ExperimentEntry, ...]:
 
 
 def run_entry(entry: ExperimentEntry) -> EntryReport:
+    require_type("entry", entry, ExperimentEntry)
     records = []
     for i in range(entry.runs):
         config = entry.config_for_run(i)
@@ -142,43 +142,52 @@ def run_entry(entry: ExperimentEntry) -> EntryReport:
 
 
 def run_experiment(entries: tuple[ExperimentEntry, ...]) -> tuple[EntryReport, ...]:
-    """Execute every entry; deterministic for given entries."""
+    """Execute every entry; deterministic for given entries. Every entry is
+    checked before the first run."""
+    entries = tuple(entries)
+    for entry in entries:
+        require_type("entry", entry, ExperimentEntry)
     return tuple(run_entry(entry) for entry in entries)
 
 
-def _num(value) -> str:
-    return "" if value is None else str(value)
+def _require_reports(reports) -> tuple[EntryReport, ...]:
+    """reports as a tuple, each checked to be an EntryReport."""
+    reports = tuple(reports)
+    for i, er in enumerate(reports):
+        require_type(f"reports[{i}]", er, EntryReport)
+    return reports
+
+
+# The summary-only CSV columns, each the EntryReport field of that name.
+_SUMMARY_COLUMNS = [f.name for f in fields(EntryReport) if f.name in CSV_COLUMNS]
 
 
 def to_csv(reports: tuple[EntryReport, ...]) -> str:
     """One row per run plus one summary row per entry; header mandatory.
 
-    Summary-only columns are empty on run rows and vice versa; lines end
-    with a single newline.
+    Rows are written by column name; a column a row does not set, or a
+    None, is an empty cell. Lines end with a single newline.
     """
+    reports = _require_reports(reports)
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer = csv.DictWriter(buf, CSV_COLUMNS, lineterminator="\n")
+    writer.writeheader()
     for er in reports:
         e = er.entry
-        shared = [e.label, str(e.num_gates), str(e.population_size), str(e.mutation_rate)]
+        shared = {"target": e.label, "num_gates": e.num_gates,
+                  "population_size": e.population_size, "mutation_rate": e.mutation_rate}
         for r in er.runs:
-            writer.writerow(
-                ["run", *shared, str(r.seed), str(r.run_index),
-                 "1" if r.solved else "0", str(r.generations),
-                 r.key.hex() if r.key is not None else "",
-                 "", "", "", "", "", "", ""]
-            )
-        writer.writerow(
-            ["summary", *shared, "", "", "", "", "",
-             _num(er.mean), _num(er.median), _num(er.stddev),
-             _num(er.min), _num(er.max), str(er.solve_count), str(er.exhausted_count)]
-        )
+            writer.writerow({"kind": "run", **shared, "seed": r.seed, "run_index": r.run_index,
+                             "solved": int(r.solved), "generations": r.generations,
+                             "distinct_key": r.key.hex() if r.key is not None else None})
+        writer.writerow({"kind": "summary", **shared,
+                         **{column: getattr(er, column) for column in _SUMMARY_COLUMNS}})
     return buf.getvalue()
 
 
 def to_table(reports: tuple[EntryReport, ...]) -> str:
     """Plain aligned summary table, one line per entry."""
+    reports = _require_reports(reports)
     header = (
         f"{'target':<10} {'gates':>5} {'pop':>4} {'runs':>4} {'solved':>6} "
         f"{'mean':>9} {'median':>9} {'stddev':>9} {'min':>6} {'max':>6} {'distinct':>8}"
@@ -187,13 +196,13 @@ def to_table(reports: tuple[EntryReport, ...]) -> str:
     for er in reports:
         e = er.entry
 
-        def f(v, width=9):
-            return f"{v:>{width}.1f}" if v is not None else " " * (width - 1) + "-"
+        def f(v, width=9, spec=".1f"):
+            return f"{'-' if v is None else format(v, spec):>{width}}"
 
         lines.append(
             f"{e.label:<10} {e.num_gates:>5} {e.population_size:>4} {e.runs:>4} "
             f"{er.solve_count:>6} {f(er.mean)} {f(er.median)} {f(er.stddev)} "
-            f"{_num(er.min) or '-':>6} {_num(er.max) or '-':>6} {er.distinct_solution_count:>8}"
+            f"{f(er.min, 6, '')} {f(er.max, 6, '')} {er.distinct_solution_count:>8}"
         )
     return "\n".join(lines) + "\n"
 
@@ -208,6 +217,7 @@ def to_svg(reports: tuple[EntryReport, ...]) -> str:
 
     Hand-rolled SVG so output bytes depend only on the reports.
     """
+    reports = _require_reports(reports)
     bar_w, gap, left, bottom, height = 60, 30, 60, 40, 260
     plot_h = height - bottom - 20
     width = left + len(reports) * (bar_w + gap) + gap

@@ -24,6 +24,7 @@ from .bench import (
 )
 from .evolve import GaConfig, run_evolution
 from .netlist import (
+    _PRESETS,
     CapacityError,
     FormatError,
     StructureError,
@@ -76,7 +77,7 @@ def _target_flag(parser):
     parser.add_argument(
         "--target",
         required=True,
-        help="target function: and|or|nor|xor|xnor|nand, or tt:BITS with the "
+        help=f"target function: {'|'.join(_PRESETS)}, or tt:BITS with the "
         "row for assignment i at position i (input 0 = least significant bit "
         "of i; e.g. and is tt:0001)",
     )

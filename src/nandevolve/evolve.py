@@ -14,7 +14,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .netlist import (_INPUTS_LIMIT, ArityError, NandGenome, TruthTable, _show, gene_sizes,
-                      genome_from_ids, genome_ids, require_int, require_rate, require_table, scorer)
+                      genome_from_ids, genome_ids, require_int, require_rate, require_type, scorer)
 
 # Seeds are unsigned 64-bit integers.
 SEED_LIMIT = 2**64
@@ -43,11 +43,6 @@ class GaConfig:
     def crossover_split(self) -> float:
         """Per-parent inheritance probability; 2*split + mutation_rate == 1."""
         return (1.0 - self.mutation_rate) / 2.0
-
-
-def _require_config(config) -> None:
-    if not isinstance(config, GaConfig):
-        raise ValueError(f"config: expected a GaConfig, got {_show(config)}")
 
 
 @dataclass(frozen=True)
@@ -103,6 +98,7 @@ def _next_generation(population: list[list[int]], fits: list[float], rng: random
 
 def random_genome(rng: random.Random, num_inputs: int, num_gates: int) -> NandGenome:
     """Genome with every gene drawn uniformly and independently."""
+    require_type("rng", rng, random.Random)
     require_int("num_inputs", num_inputs, 1, _INPUTS_LIMIT)
     require_int("num_gates", num_gates, 1)
     return genome_from_ids(num_inputs, _random_ids(rng, gene_sizes(num_inputs, num_gates)))
@@ -113,6 +109,9 @@ def breed(parent_a: NandGenome, parent_b: NandGenome, rng: random.Random,
     """Child genome: per gene, parent_a's allele with probability
     (1-mutation_rate)/2, parent_b's with the same, otherwise a fresh uniform
     draw from that position's full allele space."""
+    require_type("parent_a", parent_a, NandGenome)
+    require_type("parent_b", parent_b, NandGenome)
+    require_type("rng", rng, random.Random)
     split = (1.0 - require_rate("mutation_rate", mutation_rate)) / 2.0
     if parent_a.num_inputs != parent_b.num_inputs or parent_a.num_gates != parent_b.num_gates:
         raise ArityError("parents must agree on num_inputs and num_gates")
@@ -132,10 +131,16 @@ def step_generation(population: list[Individual], target: TruthTable,
     reinitialized randomly instead. It returns config.population_size
     children, whatever the size of the population given.
     """
-    _require_config(config)
-    require_table(target)
+    require_type("config", config, GaConfig)
+    require_type("target", target, TruthTable)
+    require_type("rng", rng, random.Random)
+    if not isinstance(population, (list, tuple)):
+        raise ValueError(
+            f"population: expected a list or tuple of Individuals, got {_show(population)}"
+        )
     n, num_gates = target.num_inputs, config.num_gates
-    for ind in population:
+    for i, ind in enumerate(population):
+        require_type(f"population[{i}]", ind, Individual)
         if ind.fitness > 0.0 and (ind.genome.num_inputs != n or ind.genome.num_gates != num_gates):
             raise ArityError(f"breeding members must have {n} inputs and {_show(num_gates)} gates")
     children = _next_generation(
@@ -158,8 +163,8 @@ def run_evolution(config: GaConfig, target: TruthTable,
     bit-identical outcome and calls. Members are allele-id lists (see
     netlist._source); only the genomes returned are built as NandGenome.
     """
-    _require_config(config)
-    require_table(target)
+    require_type("config", config, GaConfig)
+    require_type("target", target, TruthTable)
     if on_generation is not None and not callable(on_generation):
         raise ValueError(f"on_generation: expected a callable or None, got {_show(on_generation)}")
     n, size = target.num_inputs, config.population_size

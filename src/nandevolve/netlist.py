@@ -199,13 +199,15 @@ def genome_ids(genome: NandGenome) -> list[int]:
     return [src.index if src.kind == EXTERNAL else n + src.index for pair in genome.gates for src in pair]
 
 
+# The named two-input targets: name -> (rows, minimal gate count), each
+# count the oracle's minimum (minimal_gates). The one home of both facts.
 _PRESETS = {
-    "and": "0001",
-    "or": "0111",
-    "nor": "1000",
-    "xor": "0110",
-    "xnor": "1001",
-    "nand": "1110",
+    "and": ("0001", 2),
+    "or": ("0111", 3),
+    "nor": ("1000", 4),
+    "xor": ("0110", 4),
+    "xnor": ("1001", 5),
+    "nand": ("1110", 1),
 }
 
 
@@ -253,7 +255,7 @@ class TruthTable:
     def named(cls, name: str) -> "TruthTable":
         """One of the two-input presets: and, or, nor, xor, xnor, nand."""
         try:
-            return cls(2, _PRESETS[name.lower()])
+            return cls(2, _PRESETS[name.lower()][0])
         except (AttributeError, KeyError, TypeError):
             raise FormatError(
                 f"unknown target name {_show(name)} (choose from {', '.join(sorted(_PRESETS))})"
@@ -275,11 +277,12 @@ class TruthTable:
         return cls.named(text)
 
 
-def require_table(target) -> None:
-    """Raise ValueError unless target is a TruthTable; a name or tt: text
-    must go through TruthTable.parse first."""
-    if not isinstance(target, TruthTable):
-        raise ValueError(f"target: expected a TruthTable, got {_show(target)}")
+def require_type(name: str, value, kind: type) -> None:
+    """Raise ValueError naming the argument unless value is a `kind`. A
+    target name or tt: text must go through TruthTable.parse first."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name}: expected {article} {kind.__name__}, got {_show(value)}")
 
 
 @lru_cache(maxsize=None)
@@ -325,6 +328,7 @@ def scorer(target: TruthTable) -> Callable[[list[int]], float]:
 
 def output_mask(genome: NandGenome) -> int:
     """Truth table of the genome's output gate, packed as an int bitmask."""
+    require_type("genome", genome, NandGenome)
     n = genome.num_inputs
     _check_arity(n)
     return ids_tables(genome_ids(genome), input_masks(n), (1 << (1 << n)) - 1)[-1]
@@ -332,6 +336,7 @@ def output_mask(genome: NandGenome) -> int:
 
 def evaluate(genome: NandGenome, assignment) -> int:
     """Output bit of the circuit for one input assignment."""
+    require_type("genome", genome, NandGenome)
     try:
         size = len(assignment)
     except TypeError:
@@ -345,6 +350,7 @@ def evaluate(genome: NandGenome, assignment) -> int:
 
 def truth_table_of(genome: NandGenome) -> TruthTable:
     """Exhaustive evaluation over all 2^n assignments."""
+    require_type("genome", genome, NandGenome)
     return TruthTable.from_mask(genome.num_inputs, output_mask(genome))
 
 
@@ -354,7 +360,8 @@ def fitness(genome: NandGenome, target: TruthTable) -> float:
     Always an exact multiple of 2^-n, so comparisons against 0.0 and 1.0
     are exact; 1.0 means the circuit realizes the target.
     """
-    require_table(target)
+    require_type("genome", genome, NandGenome)
+    require_type("target", target, TruthTable)
     if genome.num_inputs != target.num_inputs:
         raise ArityError(
             f"genome has {_show(genome.num_inputs)} inputs, target has {target.num_inputs}"
@@ -381,6 +388,7 @@ def prune_dead_gates(genome: NandGenome) -> NandGenome:
 
     The realized truth table is unchanged.
     """
+    require_type("genome", genome, NandGenome)
     n = genome.num_inputs
     return genome_from_ids(n, prune_ids(n, genome_ids(genome)))
 
@@ -391,6 +399,7 @@ def canonical_key(genome: NandGenome) -> bytes:
     Equal keys <=> identical pruned netlists. Distinct keys say nothing
     about functional equivalence.
     """
+    require_type("genome", genome, NandGenome)
     n = genome.num_inputs
     srcs = map(_source, repeat(n), prune_ids(n, genome_ids(genome)))
     parts = [str(n), *(f"{a!r}.{b!r}" for a, b in zip(srcs, srcs))]
@@ -406,6 +415,7 @@ def _genome_doc(genome: NandGenome) -> dict:
 
 def export_json(genome: NandGenome) -> str:
     """Render the genome in the JSON netlist format (see parse_json)."""
+    require_type("genome", genome, NandGenome)
     return json.dumps(_genome_doc(genome), indent=2)
 
 
@@ -458,6 +468,7 @@ def export_dot(genome: NandGenome) -> str:
     Inputs are nodes x<k>, gates are nodes g<j> with edges source -> gate;
     the output gate is marked with peripheries=2 and an "out" xlabel.
     """
+    require_type("genome", genome, NandGenome)
     out = genome.num_gates - 1
     lines = ["digraph nand_circuit {", "  rankdir=LR;"]
     for k in range(genome.num_inputs):

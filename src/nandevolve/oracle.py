@@ -23,7 +23,7 @@ from .netlist import (
     ids_tables,
     input_masks,
     require_int,
-    require_table,
+    require_type,
 )
 
 DEFAULT_BUDGET = 100_000_000
@@ -125,7 +125,7 @@ def count_solutions(target: TruthTable, num_gates: int,
     put in front of it), so canonical is the all-live counts summed over
     gate counts 1..num_gates.
     """
-    require_table(target)
+    require_type("target", target, TruthTable)
     _check_budget(target.num_inputs, num_gates, budget)
     raw = canonical = 0
     for gates in range(1, num_gates + 1):
@@ -143,7 +143,7 @@ def minimal_gates(target: TruthTable, max_gates: int,
     counts hold no solutions and a minimal solution has no dead gate, so
     the canonical count (see count_solutions) equals the raw count.
     """
-    require_table(target)
+    require_type("target", target, TruthTable)
     require_int("max_gates", max_gates, 1)
     _check_budget(target.num_inputs, max_gates, budget)
     for gates in range(1, max_gates + 1):

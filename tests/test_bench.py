@@ -6,6 +6,7 @@ from xml.etree import ElementTree
 
 import pytest
 
+import nandevolve.bench as bench_mod
 from nandevolve.bench import (
     CSV_COLUMNS,
     ExperimentEntry,
@@ -198,6 +199,36 @@ class TestRendering:
         root = ElementTree.fromstring(to_svg(run_experiment((entry,))))
         texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
         assert "a<b&c" in texts
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize("call", [run_entry, lambda v: run_experiment([v])],
+                             ids=["run_entry", "run_experiment"])
+    def test_entry_must_be_an_experiment_entry(self, call):
+        with pytest.raises(ValueError, match="^entry: expected an ExperimentEntry, got 5$"):
+            call(5)
+
+    def test_every_entry_checked_before_the_first_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench_mod, "run_evolution", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="^entry: "):
+            run_experiment([small_spec()[0], 5])
+        assert calls == []
+
+    def test_entries_may_be_any_iterable(self):
+        spec = small_spec(runs=2)
+        assert run_experiment(iter(spec)) == run_experiment(spec)
+
+    @pytest.mark.parametrize("render", [to_csv, to_table, to_svg])
+    def test_reports_must_be_entry_reports(self, render):
+        report = run_experiment(small_spec(runs=1))
+        with pytest.raises(ValueError, match=r"^reports\[2\]: expected an EntryReport, got 5$"):
+            render([*report, 5])
+
+    @pytest.mark.parametrize("render", [to_csv, to_table, to_svg])
+    def test_reports_may_be_any_iterable(self, render):
+        report = run_experiment(small_spec(runs=2))
+        assert render(iter(report)) == render(report)
 
 
 class TestParseSpec:

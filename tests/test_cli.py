@@ -11,8 +11,9 @@ from nandevolve.netlist import export_json, parse_json, truth_table_of
 
 from conftest import g, genome, x
 
-# exact stdout of `oracle` and exact stdout and stderr of `evolve --trace`:
-# a change to the oracle scan or the GA loop must keep these bytes
+# exact stdout of `oracle`, exact stdout and stderr of `evolve --trace`, and
+# the exact CSV, SVG and table of `bench --paper-defaults`: a change to the
+# oracle scan, the GA loop or the bench writers must keep these bytes
 GOLDEN = Path(__file__).with_name("golden")
 
 
@@ -142,6 +143,20 @@ class TestBench:
         run_cli(capsys, "bench", "--paper-defaults", "--seed", "42", "--runs", "2", "--pop", "10",
                 "--mutation", "0.1", "--max-gen", "100000", "--out", str(c))
         assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+    @pytest.mark.parametrize("argv,golden", [
+        (("--runs", "5", "--seed", "42"), "bench-paper-runs5-seed42"),
+        # four of the five entries have no solved run: empty aggregate cells
+        (("--runs", "2", "--seed", "3", "--max-gen", "0"), "bench-paper-runs2-seed3-gen0"),
+    ])
+    def test_paper_defaults_match_golden_bytes(self, capsys, tmp_path, argv, golden):
+        csv_path, svg_path = tmp_path / "runs.csv", tmp_path / "chart.svg"
+        code, out, _ = run_cli(capsys, "bench", "--paper-defaults", *argv,
+                               "--out", str(csv_path), "--plot", str(svg_path))
+        assert code == 0
+        assert out == (GOLDEN / f"{golden}.table").read_text()
+        assert csv_path.read_bytes() == (GOLDEN / f"{golden}.csv").read_bytes()
+        assert svg_path.read_bytes() == (GOLDEN / f"{golden}.svg").read_bytes()
 
     def test_csv_to_stdout_and_plot(self, capsys, tmp_path):
         plot = tmp_path / "chart.svg"

@@ -252,6 +252,45 @@ class TestStepGeneration:
             assert ind.fitness == fitness(ind.genome, target)
 
 
+AND = TruthTable.named("and")
+
+
+def step_and(population, rng):
+    """step_generation toward AND at 2 gates, 4 members."""
+    return step_generation(population, AND, rng, GaConfig(num_gates=2, population_size=4))
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize("call, message", [
+        (lambda rng, parent, pop: random_genome(None, 2, 2), "^rng: expected a Random, got None$"),
+        (lambda rng, parent, pop: breed(parent, parent, None), "^rng: expected a Random, got None$"),
+        (lambda rng, parent, pop: step_and(pop, None), "^rng: expected a Random, got None$"),
+        (lambda rng, parent, pop: breed(5, 5, rng), "^parent_a: expected a NandGenome, got 5$"),
+        (lambda rng, parent, pop: breed(parent, 5, rng), "^parent_b: expected a NandGenome, got 5$"),
+        (lambda rng, parent, pop: step_and(5, rng),
+         "^population: expected a list or tuple of Individuals, got 5$"),
+        (lambda rng, parent, pop: step_and([5], rng), r"^population\[0\]: expected an Individual, got 5$"),
+        (lambda rng, parent, pop: step_and([*pop, 5], rng),
+         r"^population\[1\]: expected an Individual, got 5$"),
+    ], ids=["random_genome-rng", "breed-rng", "step_generation-rng", "breed-parent_a",
+            "breed-parent_b", "step_generation-population", "step_generation-member",
+            "step_generation-later-member"])
+    def test_checked_before_any_draw(self, call, message):
+        rng = random.Random(8)
+        parent = random_genome(rng, 2, 2)
+        population = [evaluated(parent, AND)]
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=message):
+            call(rng, parent, population)
+        assert rng.getstate() == state
+
+    def test_tuple_population_breeds_like_a_list(self):
+        rng = random.Random(9)
+        population = [evaluated(random_genome(rng, 2, 2), AND) for _ in range(4)]
+        as_list = step_and(population, random.Random(1))
+        assert step_and(tuple(population), random.Random(1)) == as_list
+
+
 class TestRunEvolution:
     def test_nand_target_solves_at_generation_zero(self):
         # half of all 1-gate genomes are already NAND, so ten random members

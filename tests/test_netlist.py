@@ -200,6 +200,18 @@ def test_target_must_be_a_truth_table(call):
 
 
 AND = TruthTable.named("and")
+
+
+@pytest.mark.parametrize("call", [
+    output_mask, lambda v: evaluate(v, (0, 1)), lambda v: fitness(v, AND), truth_table_of,
+    prune_dead_gates, canonical_key, export_json, export_dot,
+], ids=["output_mask", "evaluate", "fitness", "truth_table_of", "prune_dead_gates",
+        "canonical_key", "export_json", "export_dot"])
+def test_genome_must_be_a_nand_genome(call):
+    with pytest.raises(ValueError, match="^genome: expected a NandGenome, got 5$"):
+        call(5)
+
+
 HUGE = 10**5000  # over Python's 4300-digit limit for int-to-str conversion
 
 # Every integer argument, checked by netlist.require_int:

@@ -1,5 +1,6 @@
 import pytest
 
+from nandevolve.bench import DEFAULT_GATES
 from nandevolve.evolve import GaConfig, run_evolution
 from nandevolve.netlist import (
     CapacityError,
@@ -157,6 +158,11 @@ class TestMinimalGates:
         assert truth_table_of(result.witness) == target
         assert result.witness == solutions_by_filtering(target, 2)[0]
         assert result.raw_count == result.canonical_count == 2
+
+    @pytest.mark.parametrize("name, gates", sorted(DEFAULT_GATES.items()))
+    def test_named_target_gate_counts_are_minimal(self, name, gates):
+        # every gate count of the named-target table is the oracle's minimum
+        assert minimal_gates(TruthTable.named(name), gates).minimal_gates == gates
 
     def test_none_up_to_budget(self):
         parity3 = TruthTable(3, "01101001")

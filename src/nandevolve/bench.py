@@ -11,11 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import statistics
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
-from .evolve import SEED_LIMIT, GaConfig, run_evolution
-from .netlist import (_PRESETS, FormatError, NandGenome, TruthTable, _load_json, _show,
-                      canonical_key, require_int, require_type)
+from .evolve import SEED_LIMIT, GaConfig, RunOutcome, run_evolution
+from .netlist import (_PRESETS, FormatError, TruthTable, _load_json, _show, canonical_key,
+                      require_int, require_type)
 
 # Each named target's minimal NAND-gate count, read from netlist._PRESETS.
 DEFAULT_GATES = {name: gates for name, (_, gates) in _PRESETS.items()}
@@ -73,21 +73,12 @@ _SPEC_FIELDS = tuple(f.name for f in fields(ExperimentEntry) if f.name != "label
 
 
 @dataclass(frozen=True)
-class RunRecord:
-    run_index: int
-    seed: int
-    solved: bool
-    generations: int
-    genome: NandGenome | None
-    key: bytes | None
-
-
-@dataclass(frozen=True)
 class EntryReport:
-    """All run rows of one entry plus aggregates over the solved runs."""
+    """Every run's outcome, run i being run_evolution(entry.config_for_run(i),
+    entry.target), plus aggregates over the solved runs."""
 
     entry: ExperimentEntry
-    runs: tuple[RunRecord, ...]
+    runs: tuple[RunOutcome, ...]
     solve_count: int
     exhausted_count: int
     mean: float | None
@@ -111,33 +102,19 @@ def default_experiment_spec(**fields) -> tuple[ExperimentEntry, ...]:
 
 def run_entry(entry: ExperimentEntry) -> EntryReport:
     require_type("entry", entry, ExperimentEntry)
-    records = []
-    for i in range(entry.runs):
-        config = entry.config_for_run(i)
-        outcome = run_evolution(config, entry.target)
-        records.append(
-            RunRecord(
-                run_index=i,
-                seed=config.seed,
-                solved=outcome.solved,
-                generations=outcome.generations,
-                genome=outcome.genome,
-                key=canonical_key(outcome.genome) if outcome.solved else None,
-            )
-        )
-    solved_gens = [r.generations for r in records if r.solved]
-    keys = {r.key for r in records if r.key is not None}
+    runs = tuple(run_evolution(entry.config_for_run(i), entry.target) for i in range(entry.runs))
+    solved_gens = [r.generations for r in runs if r.solved]
     return EntryReport(
         entry=entry,
-        runs=tuple(records),
+        runs=runs,
         solve_count=len(solved_gens),
-        exhausted_count=len(records) - len(solved_gens),
+        exhausted_count=len(runs) - len(solved_gens),
         mean=statistics.mean(solved_gens) if solved_gens else None,
         median=statistics.median(solved_gens) if solved_gens else None,
         stddev=statistics.stdev(solved_gens) if len(solved_gens) >= 2 else None,
         min=min(solved_gens) if solved_gens else None,
         max=max(solved_gens) if solved_gens else None,
-        distinct_solution_count=len(keys),
+        distinct_solution_count=len({canonical_key(r.genome) for r in runs if r.solved}),
     )
 
 
@@ -176,10 +153,10 @@ def to_csv(reports: tuple[EntryReport, ...]) -> str:
         e = er.entry
         shared = {"target": e.label, "num_gates": e.num_gates,
                   "population_size": e.population_size, "mutation_rate": e.mutation_rate}
-        for r in er.runs:
-            writer.writerow({"kind": "run", **shared, "seed": r.seed, "run_index": r.run_index,
+        for i, r in enumerate(er.runs):
+            writer.writerow({"kind": "run", **shared, "seed": e.config_for_run(i).seed, "run_index": i,
                              "solved": int(r.solved), "generations": r.generations,
-                             "distinct_key": r.key.hex() if r.key is not None else None})
+                             "distinct_key": canonical_key(r.genome).hex() if r.solved else None})
         writer.writerow({"kind": "summary", **shared,
                          **{column: getattr(er, column) for column in _SUMMARY_COLUMNS}})
     return buf.getvalue()
@@ -299,8 +276,3 @@ def parse_spec(text: str) -> tuple[ExperimentEntry, ...]:
     return tuple(
         _entry_from_doc(entry, f"entries[{i}]") for i, entry in enumerate(doc["entries"])
     )
-
-
-def with_base_seed(entries: tuple[ExperimentEntry, ...], base_seed: int) -> tuple[ExperimentEntry, ...]:
-    """The same entries with every base_seed replaced."""
-    return tuple(replace(e, base_seed=base_seed) for e in entries)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .bench import (
     DEFAULT_GATES,
@@ -20,7 +21,6 @@ from .bench import (
     to_csv,
     to_svg,
     to_table,
-    with_base_seed,
 )
 from .evolve import GaConfig, run_evolution
 from .netlist import (
@@ -174,7 +174,7 @@ def cmd_bench(args) -> int:
     else:
         entries = default_experiment_spec(**{field: getattr(args, field) for _, field in given})
     if args.seed is not None:
-        entries = with_base_seed(entries, args.seed)
+        entries = tuple(replace(e, base_seed=args.seed) for e in entries)
     for path in (args.out, args.plot):
         if path:
             open(path, "a").close()  # an unwritable path fails before any run

@@ -47,8 +47,14 @@ class GaConfig:
 
 @dataclass(frozen=True)
 class Individual:
+    """A genome with its fitness; each is checked when the member is built."""
+
     genome: NandGenome
     fitness: float
+
+    def __post_init__(self):
+        require_type("genome", self.genome, NandGenome)
+        require_rate("fitness", self.fitness)
 
 
 @dataclass(frozen=True)

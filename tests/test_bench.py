@@ -17,7 +17,6 @@ from nandevolve.bench import (
     to_csv,
     to_svg,
     to_table,
-    with_base_seed,
 )
 from nandevolve.evolve import GaConfig, run_evolution
 from nandevolve.netlist import FormatError, TruthTable, canonical_key, truth_table_of
@@ -54,10 +53,12 @@ class TestRunExperiment:
         spec = small_spec()
         report = run_experiment(spec)
         assert len(report) == 2
-        for er in report:
-            assert len(er.runs) == 4
-            assert [r.run_index for r in er.runs] == [0, 1, 2, 3]
-            assert [r.seed for r in er.runs] == [100, 101, 102, 103]
+        for entry, er in zip(spec, report):
+            assert er.entry == entry
+            assert er.runs == tuple(
+                run_evolution(GaConfig(num_gates=entry.num_gates, seed=seed), entry.target)
+                for seed in (100, 101, 102, 103)
+            )
         assert report == run_experiment(spec)
 
     def test_aggregates_recomputable_from_rows(self):
@@ -71,19 +72,21 @@ class TestRunExperiment:
             assert er.stddev == statistics.stdev(solved)
             assert er.min == min(solved)
             assert er.max == max(solved)
-            assert er.distinct_solution_count == len({r.key for r in er.runs if r.key})
+            assert er.distinct_solution_count == len({canonical_key(r.genome) for r in er.runs if r.solved})
 
     def test_single_run_matches_run_evolution(self):
         entry = ExperimentEntry("xor", TruthTable.named("xor"), 4, runs=1, base_seed=7)
         er = run_entry(entry)
         outcome = run_evolution(GaConfig(num_gates=4, seed=7), TruthTable.named("xor"))
-        assert len(er.runs) == 1
-        record = er.runs[0]
-        assert record.solved == outcome.solved
-        assert record.generations == outcome.generations
-        assert record.genome == outcome.genome
+        assert er.runs == (outcome,)
         assert er.mean == er.median == outcome.generations
         assert er.stddev is None
+        # Over several runs, run i is the whole outcome of config_for_run(i).
+        entry = ExperimentEntry("xnor", TruthTable.named("xnor"), 5, runs=4, base_seed=11,
+                                max_generations=50)
+        assert run_entry(entry).runs == tuple(
+            run_evolution(entry.config_for_run(i), entry.target) for i in range(entry.runs)
+        )
 
     def test_entry_order_does_not_change_outcomes(self):
         spec = small_spec()
@@ -102,9 +105,9 @@ class TestRunExperiment:
         assert er.solve_count + er.exhausted_count == 12
         assert er.solve_count >= 1
         assert er.mean == 0  # solved runs all solved at generation 0
-        for record in er.runs:
-            if not record.solved:
-                assert record.genome is None and record.key is None
+        for outcome in er.runs:
+            if not outcome.solved:
+                assert outcome.genome is None and outcome.generations == 0
 
     def test_config_errors_name_the_entry(self):
         with pytest.raises(ValueError, match="^population_size: "):
@@ -118,11 +121,10 @@ class TestRunExperiment:
     def test_distinct_solutions_are_sound(self):
         er = run_entry(ExperimentEntry("or", TruthTable.named("or"), 3, runs=10, base_seed=42))
         keys = set()
-        for record in er.runs:
-            if record.solved:
-                assert truth_table_of(record.genome) == TruthTable.named("or")
-                assert canonical_key(record.genome) == record.key
-                keys.add(record.key)
+        for outcome in er.runs:
+            if outcome.solved:
+                assert truth_table_of(outcome.genome) == TruthTable.named("or")
+                keys.add(canonical_key(outcome.genome))
         assert er.distinct_solution_count == len(keys)
 
 
@@ -293,7 +295,3 @@ class TestParseSpec:
         for s in (spec, built):
             rows = list(csv.DictReader(io.StringIO(to_csv(run_experiment(s)))))
             assert [row["mutation_rate"] for row in rows] == ["1.0", "1.0"]
-
-    def test_with_base_seed(self):
-        spec = with_base_seed(small_spec(base_seed=5), 77)
-        assert all(e.base_seed == 77 for e in spec)

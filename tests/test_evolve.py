@@ -290,6 +290,17 @@ class TestArgumentTypes:
         as_list = step_and(population, random.Random(1))
         assert step_and(tuple(population), random.Random(1)) == as_list
 
+    @pytest.mark.parametrize("genome_arg, fitness_arg, message", [
+        (5, 0.5, "^genome: expected a NandGenome, got 5$"),
+        (genome(2, (x(0), x(1))), "x", r"^fitness: expected a number in \[0, 1\], got 'x'$"),
+        (genome(2, (x(0), x(1))), 7.0, r"^fitness: expected a number in \[0, 1\], got 7.0$"),
+        (genome(2, (x(0), x(1))), float("nan"), r"^fitness: expected a number in \[0, 1\], got nan$"),
+        (genome(2, (x(0), x(1))), True, r"^fitness: expected a number in \[0, 1\], got True$"),
+    ])
+    def test_individual_checked_when_built(self, genome_arg, fitness_arg, message):
+        with pytest.raises(ValueError, match=message):
+            Individual(genome_arg, fitness_arg)
+
 
 class TestRunEvolution:
     def test_nand_target_solves_at_generation_zero(self):

@@ -108,6 +108,21 @@ class TestCountSolutions:
         with pytest.raises(CapacityError):
             count_solutions(TruthTable.named("and"), 7)
 
+    def test_solution_densities_behind_c3(self):
+        # The README's reason why test_c3_generation_trend fails: at each
+        # target's minimal gate count NOR is the sparsest, and at a common
+        # 5 gates the densities order and > or > xor > nor > xnor.
+        at_default = {"and": (2, 36), "or": (12, 576), "nor": (12, 14400),
+                      "xor": (32, 14400), "xnor": (512, 518400)}
+        for name, (raw, space) in at_default.items():
+            gates = DEFAULT_GATES[name]
+            assert (count_solutions(TruthTable.named(name), gates).raw,
+                    genome_count(2, gates)) == (raw, space), name
+        at_five = {"and": 31428, "or": 20544, "xor": 2256, "nor": 1040, "xnor": 512}
+        assert genome_count(2, 5) == 518400
+        for name, raw in at_five.items():
+            assert count_solutions(TruthTable.named(name), 5).raw == raw, name
+
 
 # Every table of 1, 2 and 3 inputs, at every gate count whose space is
 # enumerated here in well under a second. At 4 inputs, looping over all

@@ -1,8 +1,10 @@
-"""Exhaustive ground truth over the feed-forward genome space.
+"""Exact ground truth over the feed-forward genome space.
 
-Covers every valid genome at a given gate count (lexicographic gene order,
-externals before gate outputs) to find minimal realizations of a target,
-count its solutions, and independently verify GA results.
+Answers what a scan of every valid genome at a gate count would (in
+lexicographic gene order, externals before gate outputs): minimal
+realizations of a target, its solution counts, checks of GA results. It
+walks no genomes: counts come from one forward pass over multisets of
+truth tables, the witness from a depth-first search over sets of them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .netlist import (
     _show,
     gene_sizes,
     genome_from_ids,
-    ids_tables,
     input_masks,
     require_int,
     require_type,
@@ -83,37 +84,70 @@ class MinimalityResult:
     canonical_count: int
 
 
-def _solve_level(target: TruthTable, num_gates: int) -> tuple[tuple[int, ...] | None, int, int]:
-    """(allele ids of the first solution in enumeration order or None, raw
-    count, all-live count) of the genomes with exactly num_gates gates
-    realizing target. A solution is all-live when every inner gate id
-    n .. n+num_gates-2 occurs among its ids: each inner gate then feeds a
-    later gate, so every gate is reachable backward from the output.
+def _raw_counts(target: TruthTable, num_gates: int) -> Iterator[int]:
+    """Yield the raw count of every gate count 1..num_gates, in one forward
+    pass over multisets of truth tables instead of genomes.
 
-    Each prefix (the first num_gates-1 gates, in enumerate_genomes' order)
-    is walked once. The output gate NAND(u, v) is the target exactly when
-    u & v == zeros, the target's zero rows, so only tables covering zeros
-    are paired."""
+    How many ways the remaining genes can finish a prefix depends only on
+    the multiset of tables it has computed (inputs, then gates). Level k
+    maps each such multiset, a sorted tuple with repeats, to the number of
+    k-gate prefixes that compute it. A gate is wired from an ordered pair
+    of positions in the multiset, so tables u and v are paired in
+    mult(u)·mult(v) ways. The pairs whose NAND is the target give the raw
+    count of the next gate count; no level past the last is built."""
+    full = (1 << (1 << target.num_inputs)) - 1
+    states = {tuple(sorted(input_masks(target.num_inputs))): 1}
+    for gates in range(1, num_gates + 1):
+        raw = 0
+        grown = {}
+        for state, ways in states.items():
+            outs = {}
+            for u in state:
+                for v in state:
+                    t = ~(u & v) & full
+                    outs[t] = outs.get(t, 0) + 1
+            raw += ways * outs.get(target.mask, 0)
+            if gates < num_gates:
+                for t, pairs in outs.items():
+                    key = tuple(sorted((*state, t)))
+                    grown[key] = grown.get(key, 0) + ways * pairs
+        yield raw
+        states = grown
+
+
+def _witness(target: TruthTable, num_gates: int) -> tuple[int, ...] | None:
+    """Allele ids of the first genome with exactly num_gates gates realizing
+    target, in enumerate_genomes' order, or None.
+
+    Depth-first over the genes in that order, with an explicit stack of
+    wiring iterators. Whether a prefix can be finished depends only on the
+    set of tables it has computed and the gates left, so a prefix with no
+    finish is remembered as (gates left, frozenset(tables)) and every
+    later prefix with the same key is skipped."""
     n = target.num_inputs
     full = (1 << (1 << n)) - 1
-    zeros = full ^ target.mask
-    inputs = input_masks(n)
-    inner = frozenset(range(n, n + num_gates - 1))
-    first = None
-    raw = live = 0
-    for prefix in itertools.product(*map(range, gene_sizes(n, num_gates - 1))):
-        tables = ids_tables(prefix, inputs, full)
-        cover = [k for k, t in enumerate(tables) if t & zeros == zeros]
-        for a in cover:
-            ta = tables[a]
-            for b in cover:
-                if ta & tables[b] == zeros:
-                    ids = (*prefix, a, b)
-                    if first is None:
-                        first = ids
-                    raw += 1
-                    live += inner.issubset(ids)
-    return first, raw, live
+    tables = list(input_masks(n))
+    ids = []
+    dead = set()
+    stack = [itertools.product(range(n), repeat=2)]
+    while stack:
+        left = num_gates - len(ids) // 2
+        for a, b in stack[-1]:
+            t = ~(tables[a] & tables[b]) & full
+            if left == 1:
+                if t == target.mask:
+                    return (*ids, a, b)
+            elif (left - 1, frozenset((*tables, t))) not in dead:
+                tables.append(t)
+                ids += (a, b)
+                stack.append(itertools.product(range(len(tables)), repeat=2))
+                break
+        else:
+            dead.add((left, frozenset(tables)))
+            stack.pop()
+            tables.pop()
+            del ids[-2:]
+    return None
 
 
 def count_solutions(target: TruthTable, num_gates: int,
@@ -122,16 +156,22 @@ def count_solutions(target: TruthTable, num_gates: int,
 
     Every solution prunes to an all-live solution of at most num_gates
     gates, and every such one is the pruned form of a solution (dead gates
-    put in front of it), so canonical is the all-live counts summed over
-    gate counts 1..num_gates.
+    put in front of it), so canonical is the all-live counts L(j) summed
+    over gate counts 1..num_gates. A k-gate solution is an all-live j-gate
+    one with k-j dead gates among the first k-1 positions, and a dead gate
+    at position i has (n+i)^2 wirings, so raw(k) = Σ_j L(j)·e[k-j], with
+    e[d] the elementary symmetric polynomial of degree d in (n+i)^2 for
+    i < k-1. Each L(k) follows from raw(k) and the smaller L(j).
     """
     require_type("target", target, TruthTable)
     _check_budget(target.num_inputs, num_gates, budget)
-    raw = canonical = 0
-    for gates in range(1, num_gates + 1):
-        _, raw, live = _solve_level(target, gates)
-        canonical += live
-    return SolutionCount(raw=raw, canonical=canonical)
+    e = [1]
+    live = []
+    for gates, raw in enumerate(_raw_counts(target, num_gates), 1):
+        live.append(raw - sum(count * e[gates - j] for j, count in enumerate(live, 1)))
+        square = (target.num_inputs + gates - 1) ** 2
+        e = [low + square * high for low, high in zip(e + [0], [0] + e)]
+    return SolutionCount(raw=raw, canonical=sum(live))
 
 
 def minimal_gates(target: TruthTable, max_gates: int,
@@ -146,8 +186,10 @@ def minimal_gates(target: TruthTable, max_gates: int,
     require_type("target", target, TruthTable)
     require_int("max_gates", max_gates, 1)
     _check_budget(target.num_inputs, max_gates, budget)
-    for gates in range(1, max_gates + 1):
-        first, raw, live = _solve_level(target, gates)
-        if first is not None:
-            return MinimalityResult(gates, genome_from_ids(target.num_inputs, first), raw, live)
-    return MinimalityResult(None, None, 0, 0)
+    for gates, raw in enumerate(_raw_counts(target, max_gates), 1):
+        if raw:
+            break
+    else:
+        return MinimalityResult(None, None, 0, 0)
+    witness = genome_from_ids(target.num_inputs, _witness(target, gates))
+    return MinimalityResult(gates, witness, raw, raw)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nandevolve.bench import DEFAULT_GATES
 from nandevolve.evolve import GaConfig, run_evolution
@@ -20,6 +22,7 @@ from nandevolve.oracle import (
 )
 
 import reference_netlist
+import reference_oracle
 from conftest import g, genome, x
 
 
@@ -158,6 +161,32 @@ class TestEveryTable:
                 assert minimal == MinimalityResult(solved[0], first[0], len(first), len(first))
             else:
                 assert minimal == MinimalityResult(None, None, 0, 0)
+
+
+@st.composite
+def queries(draw):
+    """A table of 1-3 inputs and a gate count the reference scans quickly."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    mask = draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
+    gates = draw(st.integers(min_value=1, max_value=3 if n == 3 else 4))
+    return TruthTable.from_mask(n, mask), gates
+
+
+class TestMatchesReference:
+    # the forward pass over table multisets and the witness search against
+    # the genome scan they replaced (tests/reference_oracle.py)
+    @settings(max_examples=300, deadline=None)
+    @given(queries())
+    def test_counts_and_witness(self, query):
+        target, gates = query
+        assert count_solutions(target, gates) == reference_oracle.count_solutions(target, gates)
+        assert minimal_gates(target, gates) == reference_oracle.minimal_gates(target, gates)
+
+    def test_xnor_at_seven_gates(self):
+        # 1.6e9 genomes, past the default budget. The reference's genome
+        # scan gives the same counts but takes over a minute, so it is not
+        # run here.
+        assert count_solutions(TruthTable.named("xnor"), 7, budget=2 * 10**9) == SolutionCount(5_386_848, 344_096)
 
 
 class TestMinimalGates:

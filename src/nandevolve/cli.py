@@ -119,7 +119,8 @@ def build_parser() -> _Parser:
     _target_flag(p)
     p.add_argument("--max-gates", type=int, required=True, help="largest gate count to search")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help=f"max genomes to enumerate per gate count (default {DEFAULT_BUDGET})")
+                   help="largest genome space, prod_i (n+i)^2, allowed at any searched gate count"
+                        f" (default {DEFAULT_BUDGET})")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("show", help="print the truth table of a saved netlist")

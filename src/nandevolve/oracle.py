@@ -3,8 +3,8 @@
 Answers what a scan of every valid genome at a gate count would (in
 lexicographic gene order, externals before gate outputs): minimal
 realizations of a target, its solution counts, checks of GA results. It
-walks no genomes: counts come from one forward pass over multisets of
-truth tables, the witness from a depth-first search over sets of them.
+walks no genomes: one forward pass over multisets of truth tables gives
+the counts and, from the first prefix of each multiset, the witness.
 """
 
 from __future__ import annotations
@@ -84,70 +84,51 @@ class MinimalityResult:
     canonical_count: int
 
 
-def _raw_counts(target: TruthTable, num_gates: int) -> Iterator[int]:
-    """Yield the raw count of every gate count 1..num_gates, in one forward
-    pass over multisets of truth tables instead of genomes.
+def _levels(target: TruthTable, num_gates: int) -> Iterator[tuple[int, tuple[int, ...] | None]]:
+    """Yield (raw count, first solution's tables or None) for every gate
+    count 1..num_gates, in one forward pass over multisets of truth tables
+    instead of genomes.
 
     How many ways the remaining genes can finish a prefix depends only on
     the multiset of tables it has computed (inputs, then gates). Level k
     maps each such multiset, a sorted tuple with repeats, to the number of
-    k-gate prefixes that compute it. A gate is wired from an ordered pair
-    of positions in the multiset, so tables u and v are paired in
-    mult(u)·mult(v) ways. The pairs whose NAND is the target give the raw
-    count of the next gate count; no level past the last is built."""
+    k-gate prefixes that compute it and the tables of the first of them in
+    enumerate_genomes' order. A gate is wired from an ordered pair of
+    positions, so tables u and v are paired in mult(u)·mult(v) ways; the
+    pairs whose NAND is the target give the raw count of the next gate
+    count, and no level past the last is built.
+
+    Pairs are taken over the first prefix's tables in gene order, and a
+    multiset keeps the tables of its first visit. Any later prefix with the
+    same multiset is beaten by the first one and a pair making the same
+    table, so by induction the states are visited in the order of their
+    first prefixes, and the first state that reaches the target holds the
+    first solution."""
     full = (1 << (1 << target.num_inputs)) - 1
-    states = {tuple(sorted(input_masks(target.num_inputs))): 1}
+    inputs = input_masks(target.num_inputs)
+    states = {tuple(sorted(inputs)): [1, inputs]}
     for gates in range(1, num_gates + 1):
         raw = 0
+        first = None
         grown = {}
-        for state, ways in states.items():
+        for state, (ways, tables) in states.items():
             outs = {}
-            for u in state:
-                for v in state:
+            for u in tables:
+                for v in tables:
                     t = ~(u & v) & full
                     outs[t] = outs.get(t, 0) + 1
-            raw += ways * outs.get(target.mask, 0)
+            if target.mask in outs:
+                raw += ways * outs[target.mask]
+                first = first or (*tables, target.mask)
             if gates < num_gates:
                 for t, pairs in outs.items():
                     key = tuple(sorted((*state, t)))
-                    grown[key] = grown.get(key, 0) + ways * pairs
-        yield raw
+                    if key in grown:
+                        grown[key][0] += ways * pairs
+                    else:
+                        grown[key] = [ways * pairs, (*tables, t)]
+        yield raw, first
         states = grown
-
-
-def _witness(target: TruthTable, num_gates: int) -> tuple[int, ...] | None:
-    """Allele ids of the first genome with exactly num_gates gates realizing
-    target, in enumerate_genomes' order, or None.
-
-    Depth-first over the genes in that order, with an explicit stack of
-    wiring iterators. Whether a prefix can be finished depends only on the
-    set of tables it has computed and the gates left, so a prefix with no
-    finish is remembered as (gates left, frozenset(tables)) and every
-    later prefix with the same key is skipped."""
-    n = target.num_inputs
-    full = (1 << (1 << n)) - 1
-    tables = list(input_masks(n))
-    ids = []
-    dead = set()
-    stack = [itertools.product(range(n), repeat=2)]
-    while stack:
-        left = num_gates - len(ids) // 2
-        for a, b in stack[-1]:
-            t = ~(tables[a] & tables[b]) & full
-            if left == 1:
-                if t == target.mask:
-                    return (*ids, a, b)
-            elif (left - 1, frozenset((*tables, t))) not in dead:
-                tables.append(t)
-                ids += (a, b)
-                stack.append(itertools.product(range(len(tables)), repeat=2))
-                break
-        else:
-            dead.add((left, frozenset(tables)))
-            stack.pop()
-            tables.pop()
-            del ids[-2:]
-    return None
 
 
 def count_solutions(target: TruthTable, num_gates: int,
@@ -167,7 +148,7 @@ def count_solutions(target: TruthTable, num_gates: int,
     _check_budget(target.num_inputs, num_gates, budget)
     e = [1]
     live = []
-    for gates, raw in enumerate(_raw_counts(target, num_gates), 1):
+    for gates, (raw, _) in enumerate(_levels(target, num_gates), 1):
         live.append(raw - sum(count * e[gates - j] for j, count in enumerate(live, 1)))
         square = (target.num_inputs + gates - 1) ** 2
         e = [low + square * high for low, high in zip(e + [0], [0] + e)]
@@ -186,10 +167,17 @@ def minimal_gates(target: TruthTable, max_gates: int,
     require_type("target", target, TruthTable)
     require_int("max_gates", max_gates, 1)
     _check_budget(target.num_inputs, max_gates, budget)
-    for gates, raw in enumerate(_raw_counts(target, max_gates), 1):
+    for gates, (raw, first) in enumerate(_levels(target, max_gates), 1):
         if raw:
             break
     else:
         return MinimalityResult(None, None, 0, 0)
-    witness = genome_from_ids(target.num_inputs, _witness(target, gates))
-    return MinimalityResult(gates, witness, raw, raw)
+    # Each gate's ids are the first pair making its table: a smaller one
+    # would give an earlier genome with the same tables.
+    n = target.num_inputs
+    full = (1 << (1 << n)) - 1
+    ids = []
+    for i in range(n, len(first)):
+        ids += next(pair for pair in itertools.product(range(i), repeat=2)
+                    if ~(first[pair[0]] & first[pair[1]]) & full == first[i])
+    return MinimalityResult(gates, genome_from_ids(n, ids), raw, raw)

@@ -1,11 +1,13 @@
-"""Genome-scan reference oracle: the level scan `nandevolve.oracle` used
-before it counted over multisets of truth tables.
+"""Reference oracles: the searches `nandevolve.oracle` used before one
+forward pass over multisets of truth tables gave every count and witness.
 
 `_solve_level` walks every prefix genome of one gate count with the one
-gate walk and pairs the tables that cover the target's zero rows. The
-differential tests in test_oracle.py require the table-level oracle to
-agree with it on every count and witness. Kept as it was; do not
-optimise it.
+gate walk and pairs the tables that cover the target's zero rows.
+`_witness` is the depth-first witness search with a dead-state memo that
+ran beside the forward pass until the pass kept each multiset's first
+prefix. The differential tests in test_oracle.py require the table-level
+oracle to agree with them on every count and witness. Kept as they were;
+do not optimise them.
 """
 
 from __future__ import annotations
@@ -47,6 +49,41 @@ def _solve_level(target: TruthTable, num_gates: int) -> tuple[tuple[int, ...] | 
                     raw += 1
                     live += inner.issubset(ids)
     return first, raw, live
+
+
+def _witness(target: TruthTable, num_gates: int) -> tuple[int, ...] | None:
+    """Allele ids of the first genome with exactly num_gates gates realizing
+    target, in enumerate_genomes' order, or None.
+
+    Depth-first over the genes in that order, with an explicit stack of
+    wiring iterators. Whether a prefix can be finished depends only on the
+    set of tables it has computed and the gates left, so a prefix with no
+    finish is remembered as (gates left, frozenset(tables)) and every
+    later prefix with the same key is skipped."""
+    n = target.num_inputs
+    full = (1 << (1 << n)) - 1
+    tables = list(input_masks(n))
+    ids = []
+    dead = set()
+    stack = [itertools.product(range(n), repeat=2)]
+    while stack:
+        left = num_gates - len(ids) // 2
+        for a, b in stack[-1]:
+            t = ~(tables[a] & tables[b]) & full
+            if left == 1:
+                if t == target.mask:
+                    return (*ids, a, b)
+            elif (left - 1, frozenset((*tables, t))) not in dead:
+                tables.append(t)
+                ids += (a, b)
+                stack.append(itertools.product(range(len(tables)), repeat=2))
+                break
+        else:
+            dead.add((left, frozenset(tables)))
+            stack.pop()
+            tables.pop()
+            del ids[-2:]
+    return None
 
 
 def count_solutions(target: TruthTable, num_gates: int) -> SolutionCount:

@@ -274,6 +274,7 @@ class TestOracle:
     @pytest.mark.parametrize("target,max_gates,golden", [
         ("xnor", "6", "oracle-xnor-6.json"),
         ("tt:01101001", "3", "oracle-tt01101001-3.json"),
+        ("tt:00010000", "5", "oracle-tt00010000-5.json"),
     ])
     def test_stdout_matches_golden_bytes(self, capsys, target, max_gates, golden):
         code, out, _ = run_cli(capsys, "oracle", "--target", target, "--max-gates", max_gates)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from nandevolve.netlist import (
     NandGenome,
     TruthTable,
     canonical_key,
+    genome_from_ids,
     prune_dead_gates,
     truth_table_of,
 )
@@ -181,6 +184,25 @@ class TestMatchesReference:
         target, gates = query
         assert count_solutions(target, gates) == reference_oracle.count_solutions(target, gates)
         assert minimal_gates(target, gates) == reference_oracle.minimal_gates(target, gates)
+
+    @pytest.mark.parametrize("n,max_gates,minima", [
+        (2, 6, {1: 3, 2: 6, 3: 4, 4: 2, 5: 1}),
+        # the minimal NAND counts of all 256 3-input tables, up to 4 gates
+        (3, 4, {1: 6, 2: 16, 3: 26, 4: 43, None: 165}),
+    ])
+    def test_every_witness_matches_the_depth_first_search(self, n, max_gates, minima):
+        found = Counter()
+        for mask in range(1 << (1 << n)):
+            target = TruthTable.from_mask(n, mask)
+            result = minimal_gates(target, max_gates)
+            found[result.minimal_gates] += 1
+            if result.minimal_gates is None:
+                assert result.witness is None
+                assert reference_oracle._witness(target, max_gates) is None
+            else:
+                ids = reference_oracle._witness(target, result.minimal_gates)
+                assert result.witness == genome_from_ids(n, ids)
+        assert found == minima
 
     def test_xnor_at_seven_gates(self):
         # 1.6e9 genomes, past the default budget. The reference's genome

@@ -72,16 +72,21 @@ class SolutionCount:
 
 @dataclass(frozen=True)
 class MinimalityResult:
-    """Smallest gate count realizing a target, or None up to max_gates.
+    """Smallest realization of a target up to max_gates.
 
-    witness is the first solution in enumeration order at that count;
-    raw_count / canonical_count tally all solutions at that count.
+    witness is the first solution in enumeration order at the smallest gate
+    count that has one, and minimal_gates is its gate count; raw_count /
+    canonical_count tally all solutions at that count. With no solution,
+    witness and minimal_gates are None and both counts are 0.
     """
 
-    minimal_gates: int | None
     witness: NandGenome | None
     raw_count: int
     canonical_count: int
+
+    @property
+    def minimal_gates(self) -> int | None:
+        return None if self.witness is None else self.witness.num_gates
 
 
 def _levels(target: TruthTable, num_gates: int) -> Iterator[tuple[int, tuple[int, ...] | None]]:
@@ -105,6 +110,7 @@ def _levels(target: TruthTable, num_gates: int) -> Iterator[tuple[int, tuple[int
     first prefixes, and the first state that reaches the target holds the
     first solution."""
     full = (1 << (1 << target.num_inputs)) - 1
+    mask = target.mask
     inputs = input_masks(target.num_inputs)
     states = {tuple(sorted(inputs)): [1, inputs]}
     for gates in range(1, num_gates + 1):
@@ -117,9 +123,9 @@ def _levels(target: TruthTable, num_gates: int) -> Iterator[tuple[int, tuple[int
                 for v in tables:
                     t = ~(u & v) & full
                     outs[t] = outs.get(t, 0) + 1
-            if target.mask in outs:
-                raw += ways * outs[target.mask]
-                first = first or (*tables, target.mask)
+            if mask in outs:
+                raw += ways * outs[mask]
+                first = first or (*tables, mask)
             if gates < num_gates:
                 for t, pairs in outs.items():
                     key = tuple(sorted((*state, t)))
@@ -167,11 +173,11 @@ def minimal_gates(target: TruthTable, max_gates: int,
     require_type("target", target, TruthTable)
     require_int("max_gates", max_gates, 1)
     _check_budget(target.num_inputs, max_gates, budget)
-    for gates, (raw, first) in enumerate(_levels(target, max_gates), 1):
+    for raw, first in _levels(target, max_gates):
         if raw:
             break
     else:
-        return MinimalityResult(None, None, 0, 0)
+        return MinimalityResult(None, 0, 0)
     # Each gate's ids are the first pair making its table: a smaller one
     # would give an earlier genome with the same tables.
     n = target.num_inputs
@@ -180,4 +186,4 @@ def minimal_gates(target: TruthTable, max_gates: int,
     for i in range(n, len(first)):
         ids += next(pair for pair in itertools.product(range(i), repeat=2)
                     if ~(first[pair[0]] & first[pair[1]]) & full == first[i])
-    return MinimalityResult(gates, genome_from_ids(n, ids), raw, raw)
+    return MinimalityResult(genome_from_ids(n, ids), raw, raw)

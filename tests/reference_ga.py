@@ -114,10 +114,10 @@ def run_evolution(config: GaConfig, target: TruthTable, on_generation=None) -> R
             on_generation(generation, max(fits), sum(fits) / len(fits))
         for ind in population:
             if ind.fitness == 1.0:
-                return RunOutcome(solved=True, generations=generation, genome=ind.genome, best=ind)
+                return RunOutcome(generations=generation, best=ind)
             if best is None or ind.fitness > best.fitness:
                 best = ind
         if generation == config.max_generations:
-            return RunOutcome(solved=False, generations=generation, genome=None, best=best)
+            return RunOutcome(generations=generation, best=best)
         population = step_generation(population, target, rng, config)
         generation += 1

@@ -101,5 +101,5 @@ def minimal_gates(target: TruthTable, max_gates: int) -> MinimalityResult:
     for gates in range(1, max_gates + 1):
         first, raw, live = _solve_level(target, gates)
         if first is not None:
-            return MinimalityResult(gates, genome_from_ids(target.num_inputs, first), raw, live)
-    return MinimalityResult(None, None, 0, 0)
+            return MinimalityResult(genome_from_ids(target.num_inputs, first), raw, live)
+    return MinimalityResult(None, 0, 0)

@@ -2,6 +2,7 @@ import random
 import re
 import sys
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ import nandevolve.evolve as evolve_mod
 from nandevolve.evolve import (
     GaConfig,
     Individual,
+    RunOutcome,
     breed,
     random_genome,
     run_evolution,
@@ -325,6 +327,23 @@ class TestRunEvolution:
         assert out.generations == 0
         assert out.genome is None
         assert 0.0 < out.best.fitness < 1.0
+
+    def test_stores_only_generations_and_best(self):
+        assert [f.name for f in fields(RunOutcome)] == ["generations", "best"]
+        best = Individual(genome(2, (x(0), x(1))), 0.5)
+        with pytest.raises(TypeError):
+            RunOutcome(solved=True, generations=3, genome=None, best=best)
+
+    def test_solved_and_genome_are_read_from_best(self):
+        # xnor at 5 gates, capped at 100 generations: some runs solve,
+        # some are exhausted
+        target = TruthTable.named("xnor")
+        outs = [run_evolution(GaConfig(num_gates=5, seed=s, max_generations=100), target)
+                for s in range(10)]
+        assert {out.solved for out in outs} == {True, False}
+        for out in outs:
+            assert out.solved == (out.best.fitness == 1.0)
+            assert out.genome is (out.best.genome if out.solved else None)
 
     def test_solved_genome_reverifies(self):
         target = TruthTable.named("xor")

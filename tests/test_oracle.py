@@ -1,4 +1,6 @@
+import random
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -161,9 +163,9 @@ class TestEveryTable:
             minimal = minimal_gates(target, max_gates)
             if solved:
                 first = found[target, solved[0]]
-                assert minimal == MinimalityResult(solved[0], first[0], len(first), len(first))
+                assert minimal == MinimalityResult(first[0], len(first), len(first))
             else:
-                assert minimal == MinimalityResult(None, None, 0, 0)
+                assert minimal == MinimalityResult(None, 0, 0)
 
 
 @st.composite
@@ -200,9 +202,23 @@ class TestMatchesReference:
                 assert result.witness is None
                 assert reference_oracle._witness(target, max_gates) is None
             else:
+                assert result.minimal_gates == result.witness.num_gates
                 ids = reference_oracle._witness(target, result.minimal_gates)
                 assert result.witness == genome_from_ids(n, ids)
         assert found == minima
+
+    # Few 4-input tables have a witness within 3 gates (none of these random
+    # ones), so the tables that 2 gates realize are checked as well.
+    @pytest.mark.parametrize("masks", [
+        sorted({truth_table_of(circuit).mask for circuit in enumerate_genomes(4, 2)}),
+        random.Random(4).sample(range(1 << 16), 32),
+    ], ids=["realized-at-2", "random"])
+    def test_four_inputs(self, masks):
+        for mask in masks:
+            target = TruthTable.from_mask(4, mask)
+            for gates in (1, 2, 3):
+                assert count_solutions(target, gates) == reference_oracle.count_solutions(target, gates)
+                assert minimal_gates(target, gates) == reference_oracle.minimal_gates(target, gates)
 
     def test_xnor_at_seven_gates(self):
         # 1.6e9 genomes, past the default budget. The reference's genome
@@ -212,6 +228,10 @@ class TestMatchesReference:
 
 
 class TestMinimalGates:
+    def test_stores_only_the_witness_and_counts(self):
+        # minimal_gates is read from the witness
+        assert [f.name for f in fields(MinimalityResult)] == ["witness", "raw_count", "canonical_count"]
+
     def test_nand_is_one_gate(self):
         result = minimal_gates(TruthTable.named("nand"), 3)
         assert result.minimal_gates == 1

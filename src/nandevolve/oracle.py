@@ -101,7 +101,10 @@ def _levels(target: TruthTable, num_gates: int) -> Iterator[tuple[int, tuple[int
     enumerate_genomes' order. A gate is wired from an ordered pair of
     positions, so tables u and v are paired in mult(u)·mult(v) ways; the
     pairs whose NAND is the target give the raw count of the next gate
-    count, and no level past the last is built.
+    count, and no level past the last is built. At the last level only
+    those pairs are counted: NAND(u, v) is the target exactly when
+    u & v == zeros, the target's zero rows, so only tables that cover
+    zeros are paired.
 
     Pairs are taken over the first prefix's tables in gene order, and a
     multiset keeps the tables of its first visit. Any later prefix with the
@@ -111,6 +114,7 @@ def _levels(target: TruthTable, num_gates: int) -> Iterator[tuple[int, tuple[int
     first solution."""
     full = (1 << (1 << target.num_inputs)) - 1
     mask = target.mask
+    zeros = full & ~mask
     inputs = input_masks(target.num_inputs)
     states = {tuple(sorted(inputs)): [1, inputs]}
     for gates in range(1, num_gates + 1):
@@ -118,21 +122,25 @@ def _levels(target: TruthTable, num_gates: int) -> Iterator[tuple[int, tuple[int
         first = None
         grown = {}
         for state, (ways, tables) in states.items():
-            outs = {}
-            for u in tables:
-                for v in tables:
-                    t = ~(u & v) & full
-                    outs[t] = outs.get(t, 0) + 1
-            if mask in outs:
-                raw += ways * outs[mask]
-                first = first or (*tables, mask)
-            if gates < num_gates:
+            if gates == num_gates:
+                cover = [u for u in tables if u & zeros == zeros]
+                hits = sum(u & v == zeros for u in cover for v in cover)
+            else:
+                outs = {}
+                for u in tables:
+                    for v in tables:
+                        t = ~(u & v) & full
+                        outs[t] = outs.get(t, 0) + 1
+                hits = outs.get(mask, 0)
                 for t, pairs in outs.items():
                     key = tuple(sorted((*state, t)))
                     if key in grown:
                         grown[key][0] += ways * pairs
                     else:
                         grown[key] = [ways * pairs, (*tables, t)]
+            if hits:
+                raw += ways * hits
+                first = first or (*tables, mask)
         yield raw, first
         states = grown
 

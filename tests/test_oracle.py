@@ -1,6 +1,8 @@
+import json
 import random
 from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from nandevolve.netlist import (
     TruthTable,
     canonical_key,
     genome_from_ids,
+    genome_ids,
     prune_dead_gates,
     truth_table_of,
 )
@@ -31,6 +34,7 @@ import reference_oracle
 from conftest import g, genome, x
 
 
+GOLDEN = Path(__file__).with_name("golden")
 PRESETS = {TruthTable.named(name).rows: name for name in ("and", "or", "nor", "xor", "xnor", "nand")}
 TWO_INPUT_TARGETS = [PRESETS.get(bits, f"tt:{bits}") for bits in (format(m, "04b") for m in range(16))]
 
@@ -166,6 +170,49 @@ class TestEveryTable:
                 assert minimal == MinimalityResult(first[0], len(first), len(first))
             else:
                 assert minimal == MinimalityResult(None, 0, 0)
+
+    def test_every_three_input_table_at_five_gates(self):
+        # minimal_gates(t, 5) for all 256 tables, as the oracle_min3
+        # workload queries: minimal gates, counts and witness ids, pinned
+        # from the genome-free pass before its last level paired only
+        # covering tables
+        golden = json.loads((GOLDEN / "oracle-n3-g5.json").read_text())
+        assert [entry["rows"] for entry in golden] == [TruthTable.from_mask(3, m).rows for m in range(256)]
+        assert Counter(entry["minimal_gates"] for entry in golden) == {
+            1: 6, 2: 16, 3: 26, 4: 43, 5: 48, None: 117}
+        for entry in golden:
+            target = TruthTable(3, entry["rows"])
+            result = minimal_gates(target, 5)
+            witness = result.witness
+            assert {
+                "rows": target.rows,
+                "minimal_gates": result.minimal_gates,
+                "raw_count": result.raw_count,
+                "canonical_count": result.canonical_count,
+                "witness_ids": None if witness is None else genome_ids(witness),
+            } == entry
+            assert witness is None or truth_table_of(witness) == target
+
+
+class TestLastLevel:
+    # The last level counts only pairs of tables that cover the target's
+    # zero rows; a growth level pairs every table. Asking for one gate more
+    # than a table's minimum m moves its witness from the one to the other.
+    @pytest.mark.parametrize("n,max_gates,tables", [(2, 5, 16), (3, 4, 91)])
+    def test_agrees_with_a_growth_level(self, n, max_gates, tables):
+        checked = []
+        for mask in range(1 << (1 << n)):
+            target = TruthTable.from_mask(n, mask)
+            m = minimal_gates(target, max_gates).minimal_gates
+            if m is None:
+                continue
+            at_growth = minimal_gates(target, m + 1)
+            assert minimal_gates(target, m) == at_growth
+            assert count_solutions(target, m).raw == at_growth.raw_count
+            checked.append(mask)
+        # every table with a minimum up to max_gates, both constants among them
+        assert len(checked) == tables
+        assert {0, (1 << (1 << n)) - 1} <= set(checked)
 
 
 @st.composite

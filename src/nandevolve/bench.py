@@ -74,19 +74,56 @@ _SPEC_FIELDS = tuple(f.name for f in fields(ExperimentEntry) if f.name != "label
 
 @dataclass(frozen=True)
 class EntryReport:
-    """Every run's outcome, run i being run_evolution(entry.config_for_run(i),
-    entry.target), plus aggregates over the solved runs."""
+    """One batch's result: stores only `entry` and `runs`, run i being
+    run_evolution(entry.config_for_run(i), entry.target).
+
+    The aggregates are properties read from the runs. `solve_count` and
+    `exhausted_count` count solved and exhausted runs; `mean`, `median`,
+    `stddev`, `min` and `max` cover the solved runs' generations and are
+    None when no run solved (`stddev` also when only one did);
+    `distinct_solution_count` counts the solved genomes' canonical keys.
+    Each is recomputed on every read.
+    """
 
     entry: ExperimentEntry
     runs: tuple[RunOutcome, ...]
-    solve_count: int
-    exhausted_count: int
-    mean: float | None
-    median: float | None
-    stddev: float | None
-    min: int | None
-    max: int | None
-    distinct_solution_count: int
+
+    def _over_solved(self, stat, least: int = 1):
+        """stat of the solved runs' generations, or None below `least` of them."""
+        generations = [r.generations for r in self.runs if r.solved]
+        return stat(generations) if len(generations) >= least else None
+
+    @property
+    def solve_count(self) -> int:
+        return self._over_solved(len, 0)
+
+    @property
+    def exhausted_count(self) -> int:
+        return len(self.runs) - self.solve_count
+
+    @property
+    def mean(self) -> float | None:
+        return self._over_solved(statistics.mean)
+
+    @property
+    def median(self) -> float | None:
+        return self._over_solved(statistics.median)
+
+    @property
+    def stddev(self) -> float | None:
+        return self._over_solved(statistics.stdev, 2)
+
+    @property
+    def min(self) -> int | None:
+        return self._over_solved(min)
+
+    @property
+    def max(self) -> int | None:
+        return self._over_solved(max)
+
+    @property
+    def distinct_solution_count(self) -> int:
+        return len({canonical_key(r.genome) for r in self.runs if r.solved})
 
 
 def default_experiment_spec(**fields) -> tuple[ExperimentEntry, ...]:
@@ -101,21 +138,12 @@ def default_experiment_spec(**fields) -> tuple[ExperimentEntry, ...]:
 
 
 def run_entry(entry: ExperimentEntry) -> EntryReport:
+    """The report of one batch: run i is run_evolution(entry.config_for_run(i),
+    entry.target), called through this module's name `run_evolution`, which
+    perfbench patches to time each run."""
     require_type("entry", entry, ExperimentEntry)
-    runs = tuple(run_evolution(entry.config_for_run(i), entry.target) for i in range(entry.runs))
-    solved_gens = [r.generations for r in runs if r.solved]
-    return EntryReport(
-        entry=entry,
-        runs=runs,
-        solve_count=len(solved_gens),
-        exhausted_count=len(runs) - len(solved_gens),
-        mean=statistics.mean(solved_gens) if solved_gens else None,
-        median=statistics.median(solved_gens) if solved_gens else None,
-        stddev=statistics.stdev(solved_gens) if len(solved_gens) >= 2 else None,
-        min=min(solved_gens) if solved_gens else None,
-        max=max(solved_gens) if solved_gens else None,
-        distinct_solution_count=len({canonical_key(r.genome) for r in runs if r.solved}),
-    )
+    return EntryReport(entry, tuple(run_evolution(entry.config_for_run(i), entry.target)
+                                    for i in range(entry.runs)))
 
 
 def run_experiment(entries: tuple[ExperimentEntry, ...]) -> tuple[EntryReport, ...]:
@@ -135,8 +163,8 @@ def _require_reports(reports) -> tuple[EntryReport, ...]:
     return reports
 
 
-# The summary-only CSV columns, each the EntryReport field of that name.
-_SUMMARY_COLUMNS = [f.name for f in fields(EntryReport) if f.name in CSV_COLUMNS]
+# The summary-only CSV columns, each the EntryReport property of that name.
+_SUMMARY_COLUMNS = [c for c in CSV_COLUMNS if isinstance(getattr(EntryReport, c, None), property)]
 
 
 def to_csv(reports: tuple[EntryReport, ...]) -> str:
@@ -198,9 +226,9 @@ def to_svg(reports: tuple[EntryReport, ...]) -> str:
     bar_w, gap, left, bottom, height = 60, 30, 60, 40, 260
     plot_h = height - bottom - 20
     width = left + len(reports) * (bar_w + gap) + gap
-    peak = max(
-        ((er.mean or 0.0) + (er.stddev or 0.0) for er in reports), default=0.0
-    )
+    # Each aggregate is a property recomputed per read, so read it once.
+    bars = [(er.entry.label, er.mean or 0.0, er.stddev) for er in reports]
+    peak = max((mean + (stddev or 0.0) for _, mean, stddev in bars), default=0.0)
     scale = (plot_h / peak) if peak > 0 else 0.0
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -209,25 +237,24 @@ def to_svg(reports: tuple[EntryReport, ...]) -> str:
         f'<line x1="{left}" y1="{height - bottom}" x2="{width - gap}" y2="{height - bottom}" stroke="black"/>',
         f'<text x="12" y="16" font-size="11">mean generations</text>',
     ]
-    for i, er in enumerate(reports):
+    for i, (label, mean, stddev) in enumerate(bars):
         x = left + gap + i * (bar_w + gap)
-        mean = er.mean or 0.0
         h = mean * scale
         y = height - bottom - h
         parts.append(
             f'<rect x="{x}" y="{y:.2f}" width="{bar_w}" height="{h:.2f}" '
             f'fill="steelblue" stroke="black"/>'
         )
-        if er.stddev is not None:
+        if stddev is not None:
             cx = x + bar_w / 2
-            y1 = height - bottom - (mean + er.stddev) * scale
-            y0 = height - bottom - max(mean - er.stddev, 0.0) * scale
+            y1 = height - bottom - (mean + stddev) * scale
+            y0 = height - bottom - max(mean - stddev, 0.0) * scale
             parts.append(
                 f'<line x1="{cx:.2f}" y1="{y1:.2f}" x2="{cx:.2f}" y2="{y0:.2f}" stroke="black"/>'
             )
         parts.append(
             f'<text x="{x + bar_w / 2:.2f}" y="{height - bottom + 16}" '
-            f'font-size="11" text-anchor="middle">{_escape(er.entry.label)}</text>'
+            f'font-size="11" text-anchor="middle">{_escape(label)}</text>'
         )
         parts.append(
             f'<text x="{x + bar_w / 2:.2f}" y="{y - 4:.2f}" '

@@ -2,6 +2,7 @@ import csv
 import io
 import re
 import statistics
+from dataclasses import fields
 from xml.etree import ElementTree
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import nandevolve.bench as bench_mod
 from nandevolve.bench import (
     CSV_COLUMNS,
+    EntryReport,
     ExperimentEntry,
     default_experiment_spec,
     parse_spec,
@@ -18,8 +20,8 @@ from nandevolve.bench import (
     to_svg,
     to_table,
 )
-from nandevolve.evolve import GaConfig, run_evolution
-from nandevolve.netlist import FormatError, TruthTable, canonical_key, truth_table_of
+from nandevolve.evolve import GaConfig, Individual, RunOutcome, run_evolution
+from nandevolve.netlist import FormatError, TruthTable, canonical_key, genome_from_ids, truth_table_of
 
 
 def small_spec(runs=4, base_seed=100):
@@ -126,6 +128,42 @@ class TestRunExperiment:
                 assert truth_table_of(outcome.genome) == TruthTable.named("or")
                 keys.add(canonical_key(outcome.genome))
         assert er.distinct_solution_count == len(keys)
+
+
+class TestEntryReport:
+    """The report built directly from hand-made outcomes, without the GA."""
+
+    # Two AND circuits with different live structure, at 2 and 3 gates.
+    AND_2 = genome_from_ids(2, [0, 1, 2, 2])
+    AND_3 = genome_from_ids(2, [0, 1, 0, 1, 2, 3])
+
+    def report(self, *runs):
+        entry = ExperimentEntry("and", TruthTable.named("and"), 3, runs=len(runs), max_generations=9)
+        return EntryReport(entry, runs)
+
+    def test_stores_only_entry_and_runs(self):
+        assert [f.name for f in fields(EntryReport)] == ["entry", "runs"]
+
+    def test_mixed_runs(self):
+        er = self.report(RunOutcome(3, Individual(self.AND_2, 1.0)),
+                         RunOutcome(9, Individual(self.AND_2, 0.75)),
+                         RunOutcome(7, Individual(self.AND_3, 1.0)))
+        assert (er.solve_count, er.exhausted_count) == (2, 1)
+        assert er.mean == er.median == 5
+        assert er.stddev == statistics.stdev([3, 7])
+        assert (er.min, er.max) == (3, 7)
+        assert er.distinct_solution_count == 2
+
+    def test_all_exhausted(self):
+        er = self.report(*[RunOutcome(9, Individual(self.AND_2, 0.5)) for _ in range(4)])
+        assert (er.solve_count, er.exhausted_count) == (0, 4)
+        assert (er.mean, er.median, er.stddev, er.min, er.max) == (None,) * 5
+        assert er.distinct_solution_count == 0
+
+    def test_one_solved_run_has_no_stddev(self):
+        er = self.report(RunOutcome(4, Individual(self.AND_3, 1.0)))
+        assert er.mean == er.median == er.min == er.max == 4
+        assert er.stddev is None
 
 
 class TestCsv:

@@ -89,22 +89,22 @@ class MinimalityResult:
         return None if self.witness is None else self.witness.num_gates
 
 
-def _levels(target: TruthTable, num_gates: int) -> Iterator[tuple[int, tuple[int, ...] | None]]:
-    """Yield (raw count, first solution's tables or None) for every gate
-    count 1..num_gates, in one forward pass over multisets of truth tables
-    instead of genomes.
+def _levels(target: TruthTable) -> Iterator[tuple[int, tuple[int, ...] | None]]:
+    """Yield (raw count, first solution's tables or None) for gate counts
+    1, 2, ..., in one forward pass over multisets of truth tables instead
+    of genomes.
 
     How many ways the remaining genes can finish a prefix depends only on
     the multiset of tables it has computed (inputs, then gates). Level k
     maps each such multiset, a sorted tuple with repeats, to the number of
     k-gate prefixes that compute it and the tables of the first of them in
     enumerate_genomes' order. A gate is wired from an ordered pair of
-    positions, so tables u and v are paired in mult(u)·mult(v) ways; the
+    positions, so tables u and v are paired in mult(u)·mult(v) ways. The
     pairs whose NAND is the target give the raw count of the next gate
-    count, and no level past the last is built. At the last level only
-    those pairs are counted: NAND(u, v) is the target exactly when
-    u & v == zeros, the target's zero rows, so only tables that cover
-    zeros are paired.
+    count: NAND(u, v) is the target exactly when u & v == zeros, the
+    target's zero rows, so only tables that cover zeros are paired. A
+    level's successors are grown only when the next gate count is asked
+    for, so a caller that stops reading builds nothing past it.
 
     Pairs are taken over the first prefix's tables in gene order, and a
     multiset keeps the tables of its first visit. Any later prefix with the
@@ -117,31 +117,30 @@ def _levels(target: TruthTable, num_gates: int) -> Iterator[tuple[int, tuple[int
     zeros = full & ~mask
     inputs = input_masks(target.num_inputs)
     states = {tuple(sorted(inputs)): [1, inputs]}
-    for gates in range(1, num_gates + 1):
+    while True:
         raw = 0
         first = None
+        for ways, tables in states.values():
+            cover = [u for u in tables if u & zeros == zeros]
+            if cover:
+                hits = sum(u & v == zeros for u in cover for v in cover)
+                if hits:
+                    raw += ways * hits
+                    first = first or (*tables, mask)
+        yield raw, first
         grown = {}
         for state, (ways, tables) in states.items():
-            if gates == num_gates:
-                cover = [u for u in tables if u & zeros == zeros]
-                hits = sum(u & v == zeros for u in cover for v in cover)
-            else:
-                outs = {}
-                for u in tables:
-                    for v in tables:
-                        t = ~(u & v) & full
-                        outs[t] = outs.get(t, 0) + 1
-                hits = outs.get(mask, 0)
-                for t, pairs in outs.items():
-                    key = tuple(sorted((*state, t)))
-                    if key in grown:
-                        grown[key][0] += ways * pairs
-                    else:
-                        grown[key] = [ways * pairs, (*tables, t)]
-            if hits:
-                raw += ways * hits
-                first = first or (*tables, mask)
-        yield raw, first
+            outs = {}
+            for u in tables:
+                for v in tables:
+                    t = ~(u & v) & full
+                    outs[t] = outs.get(t, 0) + 1
+            for t, pairs in outs.items():
+                key = tuple(sorted((*state, t)))
+                if key in grown:
+                    grown[key][0] += ways * pairs
+                else:
+                    grown[key] = [ways * pairs, (*tables, t)]
         states = grown
 
 
@@ -162,7 +161,7 @@ def count_solutions(target: TruthTable, num_gates: int,
     _check_budget(target.num_inputs, num_gates, budget)
     e = [1]
     live = []
-    for gates, (raw, _) in enumerate(_levels(target, num_gates), 1):
+    for gates, (raw, _) in enumerate(itertools.islice(_levels(target), num_gates), 1):
         live.append(raw - sum(count * e[gates - j] for j, count in enumerate(live, 1)))
         square = (target.num_inputs + gates - 1) ** 2
         e = [low + square * high for low, high in zip(e + [0], [0] + e)]
@@ -176,12 +175,13 @@ def minimal_gates(target: TruthTable, max_gates: int,
     The whole search must fit the budget (checked up front, so results
     never depend on how far a cheap target happened to get). Smaller gate
     counts hold no solutions and a minimal solution has no dead gate, so
-    the canonical count (see count_solutions) equals the raw count.
+    the canonical count (see count_solutions) equals the raw count. The
+    search stops at the minimum and builds nothing past it.
     """
     require_type("target", target, TruthTable)
     require_int("max_gates", max_gates, 1)
     _check_budget(target.num_inputs, max_gates, budget)
-    for raw, first in _levels(target, max_gates):
+    for raw, first in itertools.islice(_levels(target), max_gates):
         if raw:
             break
     else:

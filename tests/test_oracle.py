@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -193,11 +194,22 @@ class TestEveryTable:
             } == entry
             assert witness is None or truth_table_of(witness) == target
 
+    def test_every_small_table_count(self):
+        # count_solutions for every table of 1, 2 and 3 inputs at 6, 6 and
+        # 5 gates, rows -> [raw, canonical]. canonical at G is built from
+        # the raw count of every gate count up to G, so this pins each one.
+        # Pinned before every gate count was counted by covering pairs.
+        golden = json.loads((GOLDEN / "oracle-counts.json").read_text())
+        spaces = {2: (1, 6), 4: (2, 6), 8: (3, 5)}
+        assert len(golden) == 276 and golden["00000111"] == [43_464, 2_376]
+        for rows, (raw, canonical) in golden.items():
+            n, gates = spaces[len(rows)]
+            assert count_solutions(TruthTable(n, rows), gates) == SolutionCount(raw, canonical), rows
+
 
 class TestLastLevel:
-    # The last level counts only pairs of tables that cover the target's
-    # zero rows; a growth level pairs every table. Asking for one gate more
-    # than a table's minimum m moves its witness from the one to the other.
+    # A query past a table's minimum m stops at m: it returns the same
+    # result as the query at m, and its count matches count_solutions at m.
     @pytest.mark.parametrize("n,max_gates,tables", [(2, 5, 16), (3, 4, 91)])
     def test_agrees_with_a_growth_level(self, n, max_gates, tables):
         checked = []
@@ -377,6 +389,26 @@ class TestBuildsOnlyTheWitness:
         assert len(inits) == 1 and result.minimal_gates == 4
         assert result.witness == genome(2, (x(0), x(1)), (x(0), g(0)), (x(1), g(0)), (g(1), g(2)))
         assert (result.raw_count, result.canonical_count) == (32, 32)
+
+
+class TestBuildsNoLevelPastItsAnswer:
+    def test_peak_memory(self):
+        # tt:00010000 needs 5 gates. Only a count at 6 gates reads the
+        # multisets of 5-gate prefixes (about 6 MiB), so neither a 6-gate
+        # minimal_gates query nor count_solutions at 5 may build them.
+        target = TruthTable.parse("tt:00010000")
+        tracemalloc.start()
+        try:
+            result = minimal_gates(target, 6, budget=10**9)
+            minimal_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            count = count_solutions(TruthTable.parse("tt:00000111"), 5)
+            count_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == minimal_gates(target, 5)
+        assert count == SolutionCount(43_464, 2_376)
+        assert minimal_peak < 2 << 20 and count_peak < 2 << 20, (minimal_peak, count_peak)
 
 
 class TestCrossChecks:

@@ -5,6 +5,8 @@ lexicographic gene order, externals before gate outputs): minimal
 realizations of a target, its solution counts, checks of GA results. It
 walks no genomes: one forward pass over multisets of truth tables gives
 the counts and, from the first prefix of each multiset, the witness.
+count_solutions runs that pass as it is; minimal_gates runs it over sets,
+which give the same minimum, count and witness from far fewer states.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class MinimalityResult:
         return None if self.witness is None else self.witness.num_gates
 
 
-def _levels(target: TruthTable) -> Iterator[tuple[int, tuple[int, ...] | None]]:
+def _levels(target: TruthTable, distinct: bool = False) -> Iterator[tuple[int, tuple[int, ...] | None]]:
     """Yield (raw count, first solution's tables or None) for gate counts
     1, 2, ..., in one forward pass over multisets of truth tables instead
     of genomes.
@@ -111,11 +113,24 @@ def _levels(target: TruthTable) -> Iterator[tuple[int, tuple[int, ...] | None]]:
     same multiset is beaten by the first one and a pair making the same
     table, so by induction the states are visited in the order of their
     first prefixes, and the first state that reaches the target holds the
-    first solution."""
+    first solution.
+
+    With distinct set (minimal_gates), a prefix grows only by a table it
+    does not hold yet and, unless the target is constant, by no constant,
+    so the states are sets. No gate of a minimal solution but its output
+    does either: the readers of a repeated table can read its first copy,
+    and a reader of a constant computes a constant or NAND(full, y) ==
+    NAND(y, y), after which those gates are dead and can be cut. Every
+    solution at the minimum is minimal, so its prefix is kept and the raw
+    count there is the same; a kept state's parents are kept, so the kept
+    states keep their order and the witness is the same. Below the minimum
+    both passes find nothing. Past it the set pass drops solutions, so
+    count_solutions, which counts those too, runs the multiset pass."""
     full = (1 << (1 << target.num_inputs)) - 1
     mask = target.mask
     zeros = full & ~mask
     inputs = input_masks(target.num_inputs)
+    consts = () if mask in (0, full) else (0, full)
     states = {tuple(sorted(inputs)): [1, inputs]}
     while True:
         raw = 0
@@ -135,6 +150,9 @@ def _levels(target: TruthTable) -> Iterator[tuple[int, tuple[int, ...] | None]]:
                 for v in tables:
                     t = ~(u & v) & full
                     outs[t] = outs.get(t, 0) + 1
+            if distinct:
+                for t in (*tables, *consts):
+                    outs.pop(t, None)
             for t, pairs in outs.items():
                 key = tuple(sorted((*state, t)))
                 if key in grown:
@@ -181,7 +199,7 @@ def minimal_gates(target: TruthTable, max_gates: int,
     require_type("target", target, TruthTable)
     require_int("max_gates", max_gates, 1)
     _check_budget(target.num_inputs, max_gates, budget)
-    for raw, first in itertools.islice(_levels(target), max_gates):
+    for raw, first in itertools.islice(_levels(target, True), max_gates):
         if raw:
             break
     else:

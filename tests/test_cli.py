@@ -281,6 +281,14 @@ class TestOracle:
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
 
+    # the first 3-input minima past 5 gates: majority and or3 need 6
+    @pytest.mark.parametrize("target", ["tt:00010111", "tt:01111111"])
+    def test_six_gate_minimum_matches_golden_bytes(self, capsys, target):
+        code, out, _ = run_cli(capsys, "oracle", "--target", target, "--max-gates", "6",
+                               "--budget", "1000000000")
+        assert code == 0
+        assert out == (GOLDEN / f"oracle-{target.replace(':', '')}-6.json").read_text()
+
     def test_budget_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--target", "and", "--max-gates", "9")
         assert code == 3

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import tracemalloc
@@ -24,6 +25,7 @@ from nandevolve.netlist import (
 from nandevolve.oracle import (
     MinimalityResult,
     SolutionCount,
+    _levels,
     count_solutions,
     enumerate_genomes,
     genome_count,
@@ -237,8 +239,9 @@ def queries(draw):
 
 
 class TestMatchesReference:
-    # the forward pass over table multisets and the witness search against
-    # the genome scan they replaced (tests/reference_oracle.py)
+    # the forward pass over table multisets (count_solutions), its run over
+    # sets (minimal_gates) and the witness against the genome scan and the
+    # depth-first search they replaced (tests/reference_oracle.py)
     @settings(max_examples=300, deadline=None)
     @given(queries())
     def test_counts_and_witness(self, query):
@@ -409,6 +412,50 @@ class TestBuildsNoLevelPastItsAnswer:
         assert result == minimal_gates(target, 5)
         assert count == SolutionCount(43_464, 2_376)
         assert minimal_peak < 2 << 20 and count_peak < 2 << 20, (minimal_peak, count_peak)
+
+
+class TestSetRule:
+    # minimal_gates grows only prefixes whose tables are distinct and, for a
+    # non-constant target, not constant; count_solutions grows every one.
+    # Both must give the same (raw, first) at the minimum, and nothing below.
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_agrees_with_the_multiset_pass_up_to_the_minimum(self, n):
+        for mask in range(1 << (1 << n)):
+            target = TruthTable.from_mask(n, mask)
+            levels = zip(_levels(target, True), itertools.islice(_levels(target), 6))
+            for gates, (sets, multisets) in enumerate(levels, 1):
+                if multisets[0]:
+                    assert sets == multisets, (mask, gates)
+                    break
+                assert sets == multisets == (0, None), (mask, gates)
+
+    @pytest.mark.parametrize("rows,gates,raw", [
+        ("tt:00000000", 3, 6),  # needs the constant 1 before its output
+        ("tt:11111111", 2, 6),
+        ("tt:0101", 2, 1),  # a projection: its output repeats an input's table
+        ("tt:1010", 1, 1),
+    ])
+    def test_edge_targets_match_the_reference(self, rows, gates, raw):
+        target = TruthTable.parse(rows)
+        result = minimal_gates(target, gates)
+        assert (result.minimal_gates, result.raw_count) == (gates, raw)
+        assert result == reference_oracle.minimal_gates(target, gates)
+
+    def test_three_input_parity_has_none_at_seven_gates(self):
+        # 3.3e10 genomes; the set search reads the 6-gate prefixes in under a second
+        assert minimal_gates(TruthTable.parse("tt:01101001"), 7, budget=10**11) == MinimalityResult(None, 0, 0)
+
+    def test_peak_memory(self):
+        # the multiset pass holds about 6 MiB of 5-gate prefixes here
+        target = TruthTable.parse("tt:01101001")
+        tracemalloc.start()
+        try:
+            result = minimal_gates(target, 6, budget=10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == MinimalityResult(None, 0, 0)
+        assert peak < 4 << 20, peak
 
 
 class TestCrossChecks:
